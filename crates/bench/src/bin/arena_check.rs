@@ -7,10 +7,6 @@
 //! pipeline and runs the full static analysis:
 //!
 //! * the **invariant validator** must come back clean (zero violations);
-//! * the **race certifier** must issue [`DrainSafety::Certified`] — the
-//!   precondition the planned parallel drain fork (ROADMAP item 1)
-//!   demands — and the table records the round count and the widest
-//!   round (the fork's available parallelism);
 //! * the **bounds analyzer**'s critical path is cross-checked against
 //!   the event-driven engine at 64, 256 and 1024 cores: every
 //!   configuration must retire in `total_cycles ≥ critical_path`;
@@ -28,26 +24,23 @@
 //!   pooled over every completed grid cell, is recorded in the JSON
 //!   summary row and gated `ρ ≥ 0.8` in full (non-`--quick`) runs.
 //!
-//! Any violation, missing certificate, undercut bound,
+//! Any violation, undercut bound,
 //! proven-but-deadlocked disagreement or (full runs) failed
 //! rank-correlation gate fails the run (exit 1). CI runs `--quick` and
 //! uploads the table next to the bench grids.
 //!
-//! Usage: `arena_check [--quick] [--progress] [--schedule] [--threads N]
-//! [--json [PATH]]` — `--quick` shrinks the instances for CI smoke runs
+//! Usage: `arena_check [--quick] [--progress] [--schedule] [--json [PATH]]`
+//! — `--quick` shrinks the instances for CI smoke runs
 //! (default JSON path `BENCH_check.json`); `--progress` adds the
 //! prover's verdict, longest wait chain and witness length to the
 //! printed table; `--schedule` adds the schedule-bound columns (lb per
 //! grid entry, binding terms, worst tightness) — the JSON always
-//! carries both; `--threads` cross-checks the bound on the
-//! cluster-sharded parallel engine instead (`0` = auto, default follows
-//! `PARSECS_THREADS`) — the certificates this binary reports are exactly
-//! what authorises that engine's drain fork.
+//! carries both.
 
 use parsecs_bench::{json, spearman};
 use parsecs_core::{
-    bound_schedule, check_arena, prove_progress, DrainSafety, ManyCoreSim, Progress,
-    ScheduleBounds, SimConfig, SimError, TraceArena,
+    bound_schedule, check_arena, prove_progress, ManyCoreSim, Progress, ScheduleBounds, SimConfig,
+    SimError, TraceArena,
 };
 use parsecs_isa::Program;
 use parsecs_workloads::scale;
@@ -70,7 +63,6 @@ struct Row {
     instructions: usize,
     sections: usize,
     violations: usize,
-    drain: DrainSafety,
     critical_path: u64,
     ilp_width: f64,
     /// Simulated retirement span per entry of [`CORE_GRID`].
@@ -132,7 +124,7 @@ fn build_targets(quick: bool) -> Vec<Target> {
     ]
 }
 
-fn analyze(target: &Target, threads: usize) -> Row {
+fn analyze(target: &Target) -> Row {
     let arena =
         TraceArena::from_program(&target.program, target.fuel).expect("workload halts within fuel");
     let report = check_arena(&arena);
@@ -146,9 +138,7 @@ fn analyze(target: &Target, threads: usize) -> Row {
     let mut deadlocked = Vec::with_capacity(CORE_GRID.len());
     let mut schedule = Vec::with_capacity(CORE_GRID.len());
     for &cores in &CORE_GRID {
-        let config = SimConfig::with_cores(cores)
-            .stats_only()
-            .with_threads(threads);
+        let config = SimConfig::with_cores(cores).stats_only();
         // The prover judges the exact placement the run used; when the
         // run diverges (a hard deadlock), recompute the same placement
         // from the policy so the cell still gets a verdict.
@@ -199,7 +189,6 @@ fn analyze(target: &Target, threads: usize) -> Row {
         instructions: report.instructions,
         sections: report.sections,
         violations: report.violations.len(),
-        drain: report.drain.clone(),
         critical_path,
         ilp_width,
         cycles,
@@ -258,24 +247,6 @@ fn progress_row_summary(row: &Row) -> String {
             .map(|(cores, _)| cores.to_string())
             .collect();
         format!("cycle@{}", cores.join(","))
-    }
-}
-
-fn drain_summary(drain: &DrainSafety) -> String {
-    match drain {
-        DrainSafety::Certified {
-            rounds,
-            max_round_width,
-        } => format!("certified ({rounds} rounds, width {max_round_width})"),
-        DrainSafety::Conflict {
-            round,
-            first,
-            second,
-        } => {
-            format!("CONFLICT round {round}: records {first}/{second}")
-        }
-        DrainSafety::Unchecked => "unchecked".into(),
-        _ => "unknown".into(),
     }
 }
 
@@ -354,7 +325,6 @@ fn to_json(rows: &[Row], summary: String) -> String {
             .field("instructions", r.instructions)
             .field("sections", r.sections)
             .field("violations", r.violations)
-            .str("drain", &drain_summary(&r.drain))
             .field("critical_path", r.critical_path)
             .fixed("ilp_width", r.ilp_width, 2)
             .field("cycles", cycles)
@@ -372,7 +342,6 @@ fn main() {
     let mut quick = false;
     let mut show_progress = false;
     let mut show_schedule = false;
-    let mut threads = SimConfig::default().threads;
     let mut json_path: Option<String> = None;
     let mut args = std::env::args().skip(1).peekable();
     while let Some(arg) = args.next() {
@@ -380,12 +349,6 @@ fn main() {
             "--quick" => quick = true,
             "--progress" => show_progress = true,
             "--schedule" => show_schedule = true,
-            "--threads" => {
-                threads = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--threads takes a count (0 = auto)");
-            }
             "--json" => {
                 json_path = Some(match args.peek() {
                     Some(path) if !path.starts_with("--") => args.next().expect("peeked"),
@@ -395,7 +358,7 @@ fn main() {
             other => {
                 eprintln!(
                     "unknown argument '{other}' \
-                     (supported: --quick --progress --schedule --threads N --json [PATH])"
+                     (supported: --quick --progress --schedule --json [PATH])"
                 );
                 std::process::exit(2);
             }
@@ -408,11 +371,11 @@ fn main() {
         targets.len(),
         if quick { "quick" } else { "full" }
     );
-    let rows: Vec<Row> = targets.iter().map(|t| analyze(t, threads)).collect();
+    let rows: Vec<Row> = targets.iter().map(analyze).collect();
 
     print!(
-        "{:<28} {:>9} {:>9} {:>5} {:<32} {:>10} {:>6} {:>11} {:>6}",
-        "workload", "insns", "sections", "viol", "drain", "crit path", "ILP", "min cycles", "bound"
+        "{:<28} {:>9} {:>9} {:>5} {:>10} {:>6} {:>11} {:>6}",
+        "workload", "insns", "sections", "viol", "crit path", "ILP", "min cycles", "bound"
     );
     if show_progress {
         print!(" {:<18} {:>10} {:>8}", "progress", "wait chain", "witness");
@@ -426,12 +389,11 @@ fn main() {
     println!();
     for r in &rows {
         print!(
-            "{:<28} {:>9} {:>9} {:>5} {:<32} {:>10} {:>6.1} {:>11} {:>6}",
+            "{:<28} {:>9} {:>9} {:>5} {:>10} {:>6.1} {:>11} {:>6}",
             r.workload,
             r.instructions,
             r.sections,
             r.violations,
-            drain_summary(&r.drain),
             r.critical_path,
             r.ilp_width,
             r.cycles.iter().min().copied().unwrap_or(0),
@@ -505,14 +467,6 @@ fn main() {
             eprintln!(
                 "FAIL: {} has {} invariant violation(s)",
                 r.workload, r.violations
-            );
-            failed = true;
-        }
-        if !r.drain.is_certified() {
-            eprintln!(
-                "FAIL: {} was not certified for the parallel drain: {}",
-                r.workload,
-                drain_summary(&r.drain)
             );
             failed = true;
         }

@@ -46,16 +46,13 @@
 //! parked / idle cycle totals — in the same JSON schema as
 //! `BENCH_sim.json`.
 //!
-//! Usage: `repro_scale [--quick] [--validate] [--threads N] [--json [PATH]]
+//! Usage: `repro_scale [--quick] [--validate] [--json [PATH]]
 //! [--trace-out PATH]` — `--quick` shrinks the grid to one 256-core,
 //! ~2M-instruction workload run in both modes for CI smoke runs
 //! (default JSON path `BENCH_scale.json`); `--validate` runs every cell
 //! with the full static analysis (`parsecs-check`) on, so a
 //! structurally corrupt arena fails the run before it is ever
-//! simulated; `--threads` runs every cell on the cluster-sharded
-//! parallel engine with that many workers (`0` = auto, default follows
-//! `PARSECS_THREADS`; results are bit-identical to sequential runs by
-//! construction); `--trace-out` re-runs the grid's first workload at
+//! simulated; `--trace-out` re-runs the grid's first workload at
 //! its smallest chip size with a streaming
 //! [`ChromeTraceWriter`] and writes a
 //! Perfetto-loadable Chrome trace to `PATH`.
@@ -101,7 +98,6 @@ struct Row {
     workload: String,
     mode: &'static str,
     cores: usize,
-    threads: usize,
     instructions: u64,
     sections: usize,
     pre_ms: f64,
@@ -184,7 +180,7 @@ fn build_grid(quick: bool) -> Vec<Workload> {
     ]
 }
 
-fn measure(workload: &Workload, validate: bool, threads: usize) -> Vec<Row> {
+fn measure(workload: &Workload, validate: bool) -> Vec<Row> {
     // The pipeline runs once per workload; every chip size simulates the
     // same arena. Stats-only cells use the lean arena (no written-
     // locations columns — the simulators never read them).
@@ -202,12 +198,11 @@ fn measure(workload: &Workload, validate: bool, threads: usize) -> Vec<Row> {
         .cores
         .iter()
         .map(|&cores| {
-            let mut config = SimConfig::with_cores(cores).with_threads(threads);
+            let mut config = SimConfig::with_cores(cores);
             config.record_timings = !workload.stats_only;
             if validate {
                 config.validate = true;
             }
-            let resolved_threads = config.effective_threads().min(cores);
             let sim = ManyCoreSim::new(config);
             let start = Instant::now();
             let result = sim.simulate_arena(&arena).expect("simulates");
@@ -221,7 +216,6 @@ fn measure(workload: &Workload, validate: bool, threads: usize) -> Vec<Row> {
                 workload: workload.name.clone(),
                 mode: if workload.stats_only { "stats" } else { "full" },
                 cores,
-                threads: resolved_threads,
                 instructions: result.stats.instructions,
                 sections: result.stats.sections,
                 pre_ms,
@@ -251,7 +245,6 @@ fn to_json(rows: &[Row]) -> String {
             .str("workload", &r.workload)
             .str("mode", r.mode)
             .field("cores", r.cores)
-            .field("threads", r.threads)
             .field("instructions", r.instructions)
             .field("sections", r.sections)
             .fixed("pre_ms", r.pre_ms, 3)
@@ -318,7 +311,6 @@ fn print_table(rows: &[Row]) {
 fn main() {
     let mut quick = false;
     let mut validate = false;
-    let mut threads = SimConfig::default().threads;
     let mut json_path: Option<String> = None;
     let mut trace_out: Option<String> = None;
     let mut args = std::env::args().skip(1).peekable();
@@ -326,12 +318,6 @@ fn main() {
         match arg.as_str() {
             "--quick" => quick = true,
             "--validate" => validate = true,
-            "--threads" => {
-                threads = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--threads takes a count (0 = auto)");
-            }
             "--json" => {
                 json_path = Some(match args.peek() {
                     Some(path) if !path.starts_with("--") => args.next().expect("peeked"),
@@ -344,7 +330,7 @@ fn main() {
             other => {
                 eprintln!(
                     "unknown argument '{other}' (supported: --quick --validate \
-                     --threads N --json [PATH] --trace-out PATH)"
+                     --json [PATH] --trace-out PATH)"
                 );
                 std::process::exit(2);
             }
@@ -358,10 +344,7 @@ fn main() {
         if quick { "quick" } else { "full" },
         if validate { ", validated" } else { "" }
     );
-    let rows: Vec<Row> = grid
-        .iter()
-        .flat_map(|w| measure(w, validate, threads))
-        .collect();
+    let rows: Vec<Row> = grid.iter().flat_map(|w| measure(w, validate)).collect();
     print_table(&rows);
 
     if let Some(path) = json_path {

@@ -4,7 +4,7 @@
 //! trace — section spans tiling the record range, one writer per
 //! location version, producers strictly preceding consumers — that the
 //! engines historically enforced only with scattered `assert!`s. This
-//! crate makes them a first-class analysis with three layers:
+//! crate makes them a first-class analysis with four passes:
 //!
 //! 1. **Invariant validator** ([`check_arena`], [`InvariantViolation`]):
 //!    pure passes over the raw columns checking section well-formedness,
@@ -12,26 +12,17 @@
 //!    renaming discipline, dependence acyclicity and lean-arena column
 //!    consistency — returning typed per-violation diagnostics instead of
 //!    aborting.
-//! 2. **Race certifier** ([`DrainSafety`], [`certify_columns`]): a
-//!    symbolic replay of the resolver's batched completion rounds that
-//!    certifies the parallel-drain precondition (pairwise-disjoint write
-//!    targets within a round). The planned rayon fork of the drain
-//!    (ROADMAP item 1) requires [`DrainSafety::Certified`].
-//! 3. **Static bounds analyzer** ([`StaticBounds`]): per-section and
+//! 2. **Static bounds analyzer** ([`StaticBounds`]): per-section and
 //!    whole-program dependence-DAG critical path and ILP width;
 //!    `total_cycles ≥ critical_path` holds for every configuration and
 //!    is cross-checked against both engines in the differential tests.
-//! 4. **Progress prover** ([`Progress`], [`prove_progress`]): given one
+//! 3. **Progress prover** ([`Progress`], [`prove_progress`]): given one
 //!    concrete (placement × chip) configuration, proves the section
 //!    wait-for graph (producer deps ∪ capacity edges of over-subscribed
 //!    cores) admits no cycle, or returns a concrete witness cycle. A
 //!    run the runtime deadlock detector flags must never have been
 //!    [`Progress::Proven`]; both engines assert exactly that.
-//! 5. **Walk certifier** ([`WalkSafety`], [`certify_walk`]): certifies
-//!    that a cluster partition tiles the core range and that no
-//!    section's ready-queue link crosses a window — the parallel-walk
-//!    fork precondition alongside [`DrainSafety::Certified`].
-//! 6. **Schedule analyzer** ([`ScheduleBounds`], [`bound_schedule`]):
+//! 4. **Schedule analyzer** ([`ScheduleBounds`], [`bound_schedule`]):
 //!    given a concrete (placement × chip) configuration, a **certified**
 //!    NoC/placement-weighted lower bound on the cycle count (critical
 //!    path re-weighted with per-hop latencies, maxed against per-core
@@ -65,7 +56,6 @@
 //! let arena = TraceArena::from_program(&program, 1_000).expect("runs");
 //! let report = check_arena(&arena);
 //! assert!(report.is_clean());
-//! assert!(report.drain.is_certified());
 //! let bounds = report.bounds.expect("clean arenas are analyzed");
 //! assert!(bounds.critical_path > 0);
 //! ```
@@ -74,23 +64,19 @@
 #![warn(missing_docs)]
 
 mod bounds;
-mod certify;
 mod progress;
 mod schedule;
 mod validate;
 mod violation;
-mod walk;
 
 use std::fmt;
 
 use parsecs_trace::TraceArena;
 
 pub use bounds::{SectionBounds, StaticBounds};
-pub use certify::{certify_columns, DrainSafety};
 pub use progress::{prove_progress, Progress, WaitEdge, WaitKind};
 pub use schedule::{bound_schedule, BindingTerm, ChipModel, ScheduleBounds};
 pub use violation::InvariantViolation;
-pub use walk::{certify_walk, WalkSafety};
 
 /// Diagnostics stored per report before further ones are only counted
 /// (a systematically corrupt chip-scale arena must not make the report
@@ -105,9 +91,6 @@ pub struct CheckReport {
     pub violations: Vec<InvariantViolation>,
     /// Whether violations past the cap were dropped from the list.
     pub truncated: bool,
-    /// The parallel-drain certificate ([`DrainSafety::Unchecked`] when
-    /// the validator found structural violations first).
-    pub drain: DrainSafety,
     /// Static timing bounds (`None` when the validator found violations;
     /// bounds over a lying arena would ground nothing).
     pub bounds: Option<StaticBounds>,
@@ -119,9 +102,6 @@ pub struct CheckReport {
     /// attaches them — like [`CheckReport::progress`], the pass needs
     /// the concrete placement and chip model).
     pub schedule: Option<ScheduleBounds>,
-    /// The parallel-walk certificate ([`WalkSafety::Unchecked`] until an
-    /// engine attaches its cluster partition).
-    pub walk: WalkSafety,
     /// Records in the analyzed arena.
     pub instructions: usize,
     /// Sections in the analyzed arena.
@@ -148,79 +128,51 @@ impl fmt::Display for CheckReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if let Some(first) = self.first_violation() {
             let extra = if self.truncated { "+" } else { "" };
-            write!(
+            return write!(
                 f,
                 "{} violation(s){extra} across {} instruction(s); first: {first}",
                 self.violations.len(),
                 self.instructions
-            )
-        } else {
-            match (&self.drain, &self.bounds) {
-                (
-                    DrainSafety::Conflict {
-                        round,
-                        first,
-                        second,
-                    },
-                    _,
-                ) => write!(
-                    f,
-                    "invariants hold but drain round {round} conflicts on records \
-                     {first} and {second}"
-                ),
-                (drain, Some(bounds)) => {
-                    write!(
-                        f,
-                        "clean: {} instruction(s), {} section(s), drain {}, \
-                         critical path ≥ {}, ILP width {:.2}",
-                        self.instructions,
-                        self.sections,
-                        if drain.is_certified() {
-                            "certified"
-                        } else {
-                            "unchecked"
-                        },
-                        bounds.critical_path,
-                        bounds.ilp_width()
-                    )?;
-                    match &self.progress {
-                        Some(Progress::Proven { longest_wait_chain }) => {
-                            write!(f, ", progress proven (wait chain {longest_wait_chain})")?;
-                        }
-                        Some(Progress::PotentialCycle { witness }) => {
-                            write!(f, ", potential wait cycle ({} edge(s))", witness.len())?;
-                        }
-                        None => {}
-                    }
-                    if let WalkSafety::Certified {
-                        clusters,
-                        max_window,
-                    } = self.walk
-                    {
-                        write!(f, ", walk certified ({clusters}×≤{max_window})")?;
-                    }
-                    if let Some(schedule) = &self.schedule {
-                        write!(
-                            f,
-                            ", schedule lb ≥ {} ({} bound), predicted {}",
-                            schedule.lb, schedule.binding, schedule.predicted_cycles
-                        )?;
-                    }
-                    Ok(())
-                }
-                (_, None) => write!(
-                    f,
-                    "clean: {} instruction(s), {} section(s)",
-                    self.instructions, self.sections
-                ),
-            }
+            );
         }
+        let Some(bounds) = &self.bounds else {
+            return write!(
+                f,
+                "clean: {} instruction(s), {} section(s)",
+                self.instructions, self.sections
+            );
+        };
+        write!(
+            f,
+            "clean: {} instruction(s), {} section(s), critical path ≥ {}, ILP width {:.2}",
+            self.instructions,
+            self.sections,
+            bounds.critical_path,
+            bounds.ilp_width()
+        )?;
+        match &self.progress {
+            Some(Progress::Proven { longest_wait_chain }) => {
+                write!(f, ", progress proven (wait chain {longest_wait_chain})")?;
+            }
+            Some(Progress::PotentialCycle { witness }) => {
+                write!(f, ", potential wait cycle ({} edge(s))", witness.len())?;
+            }
+            None => {}
+        }
+        if let Some(schedule) = &self.schedule {
+            write!(
+                f,
+                ", schedule lb ≥ {} ({} bound), predicted {}",
+                schedule.lb, schedule.binding, schedule.predicted_cycles
+            )?;
+        }
+        Ok(())
     }
 }
 
-/// Runs the full static analysis: the invariant validator always; the
-/// race certifier and the bounds analyzer only once the validator comes
-/// back clean (both index the columns through the offsets the validator
+/// Runs the configuration-independent static analysis: the invariant
+/// validator always; the bounds analyzer only once the validator comes
+/// back clean (it indexes the columns through the offsets the validator
 /// vouches for).
 pub fn check_arena(arena: &TraceArena) -> CheckReport {
     let mut col = validate::Collector::new(MAX_VIOLATIONS);
@@ -235,19 +187,13 @@ pub fn check_arena(arena: &TraceArena) -> CheckReport {
         writer_discipline_checked = true;
     }
     let clean = col.out.is_empty() && !col.truncated;
-    let (drain, bounds) = if clean {
-        (certify::certify(arena), Some(bounds::analyze(arena)))
-    } else {
-        (DrainSafety::Unchecked, None)
-    };
+    let bounds = clean.then(|| bounds::analyze(arena));
     CheckReport {
         violations: col.out,
         truncated: col.truncated,
-        drain,
         bounds,
         progress: None,
         schedule: None,
-        walk: WalkSafety::Unchecked,
         instructions: arena.len(),
         sections: arena.sections().len(),
         writer_discipline_checked,
@@ -275,11 +221,10 @@ mod tests {
     }
 
     #[test]
-    fn clean_arenas_certify_and_bound() {
+    fn clean_arenas_are_bounded() {
         let report = check_arena(&sum_arena());
         assert!(report.is_clean(), "{report}");
         assert!(report.writer_discipline_checked);
-        assert!(report.drain.is_certified());
         let bounds = report.bounds.as_ref().expect("bounds");
         // The three-instruction add chain in `leaf` forces at least four
         // dependence levels (movq feeds addq feeds addq, plus main's
@@ -303,7 +248,6 @@ mod tests {
         let report = check_arena(&arena);
         assert!(report.is_clean(), "{report}");
         assert!(!report.writer_discipline_checked);
-        assert!(report.drain.is_certified());
         assert!(report.bounds.is_some());
     }
 

@@ -9,11 +9,6 @@
 //! through a per-*section* `queue_next` column (a section sits in at most
 //! one core's queue at a time, so one link per section suffices — no
 //! allocation, no `VecDeque`).
-//!
-//! The columns are also what makes the cluster-parallel fetch walk
-//! possible: [`ChipState::split`] hands out disjoint `&mut` column slices
-//! per cluster ([`CoreView`]), which the scoped pool can walk
-//! concurrently without any `unsafe`.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -38,8 +33,7 @@ pub(crate) const NO_STALL: u32 = u32::MAX;
 pub(crate) const NO_WAKE: u64 = u64::MAX;
 
 /// Per-core simulator state, one dense column per field (see the module
-/// docs). Shared by both timing engines; the event engine's clusters walk
-/// it through [`CoreView`] slices.
+/// docs). Shared by both timing engines.
 pub(crate) struct ChipState {
     /// Section currently owning each core's fetch stage (`NO_SECTION` =
     /// idle).
@@ -54,8 +48,7 @@ pub(crate) struct ChipState {
     /// event engine only). Calendar entries that no longer match are
     /// stale and skipped.
     pub(crate) wake_at: Vec<u64>,
-    /// Whether each core is in its cluster's run list (event engine
-    /// only).
+    /// Whether each core is in the run list (event engine only).
     pub(crate) running: Vec<bool>,
     /// Total sections ever hosted (delivered) per core.
     pub(crate) sections_hosted: Vec<u32>,
@@ -107,74 +100,6 @@ impl ChipState {
         }
         Some(head)
     }
-
-    /// Splits the mutable columns into per-cluster [`CoreView`]s (one per
-    /// entry of `sizes`, which must tile the core range) and returns the
-    /// shared `queue_next` column alongside — the walk only reads queue
-    /// links (pops mutate `queue_head`/`queue_tail`, both per-cluster;
-    /// pushes happen in the sequential deliver/requeue phases).
-    pub(crate) fn split(&mut self, sizes: &[usize]) -> (Vec<CoreView<'_>>, &[u32]) {
-        // One pass, one allocation: this runs on every event-loop
-        // iteration, so each column is carved with a rolling tail instead
-        // of a per-column chunk vector.
-        let mut current = self.current.as_mut_slice();
-        let mut next_seq = self.next_seq.as_mut_slice();
-        let mut stall_on = self.stall_on.as_mut_slice();
-        let mut wake_at = self.wake_at.as_mut_slice();
-        let mut running = self.running.as_mut_slice();
-        let mut queue_head = self.queue_head.as_mut_slice();
-        let mut queue_tail = self.queue_tail.as_mut_slice();
-        let mut views = Vec::with_capacity(sizes.len());
-        for &len in sizes {
-            macro_rules! carve {
-                ($col:ident) => {{
-                    let (head, tail) = $col.split_at_mut(len);
-                    $col = tail;
-                    head
-                }};
-            }
-            views.push(CoreView {
-                current: carve!(current),
-                next_seq: carve!(next_seq),
-                stall_on: carve!(stall_on),
-                wake_at: carve!(wake_at),
-                running: carve!(running),
-                queue_head: carve!(queue_head),
-                queue_tail: carve!(queue_tail),
-            });
-        }
-        debug_assert!(current.is_empty(), "cluster sizes tile the cores");
-        (views, &self.queue_next)
-    }
-
-    /// The whole chip as a single [`CoreView`] — the single-cluster
-    /// (sequential) engine's walk window, built without any allocation.
-    pub(crate) fn view_all(&mut self) -> (CoreView<'_>, &[u32]) {
-        (
-            CoreView {
-                current: &mut self.current,
-                next_seq: &mut self.next_seq,
-                stall_on: &mut self.stall_on,
-                wake_at: &mut self.wake_at,
-                running: &mut self.running,
-                queue_head: &mut self.queue_head,
-                queue_tail: &mut self.queue_tail,
-            },
-            &self.queue_next,
-        )
-    }
-}
-
-/// One cluster's disjoint window of the [`ChipState`] columns, indexed by
-/// *local* core id (`0..cluster.len`).
-pub(crate) struct CoreView<'a> {
-    pub(crate) current: &'a mut [u32],
-    pub(crate) next_seq: &'a mut [u32],
-    pub(crate) stall_on: &'a mut [u32],
-    pub(crate) wake_at: &'a mut [u64],
-    pub(crate) running: &'a mut [bool],
-    pub(crate) queue_head: &'a mut [u32],
-    pub(crate) queue_tail: &'a mut [u32],
 }
 
 /// The in-order fetch-stall handoff state shared by both timing engines.
@@ -216,35 +141,24 @@ impl StallTable {
         self.parked_core.len()
     }
 
-    /// The per-section resume points, for the fetch walk's read-only view
-    /// (`usize::MAX` = section start; the walk defers the clear through
-    /// [`StallTable::clear_resume`]).
-    pub(crate) fn resume_points(&self) -> &[usize] {
-        &self.resume_at
-    }
-
-    /// Resets section `sid`'s resume point after the walk consumed it.
-    pub(crate) fn clear_resume(&mut self, sid: usize) {
-        self.resume_at[sid] = usize::MAX;
-    }
-
     /// Makes `sid` the core's current section, resuming a parked section
-    /// at its saved fetch point and a fresh one at its start (the
-    /// reference loop's direct path; the event engine's walk does the
-    /// same through its buffered [`CoreView`]).
+    /// at its saved fetch point and a fresh one at its start. Returns
+    /// whether the section resumed.
     pub(crate) fn begin_section(
         &mut self,
         chip: &mut ChipState,
         idx: usize,
         sections: &[SectionSpan],
         sid: u32,
-    ) {
+    ) -> bool {
         chip.current[idx] = sid;
-        chip.next_seq[idx] = match std::mem::replace(&mut self.resume_at[sid as usize], usize::MAX)
-        {
-            usize::MAX => sections[sid as usize].start as u32,
-            resume => resume as u32,
+        let resume = std::mem::replace(&mut self.resume_at[sid as usize], usize::MAX);
+        chip.next_seq[idx] = if resume == usize::MAX {
+            sections[sid as usize].start as u32
+        } else {
+            resume as u32
         };
+        resume != usize::MAX
     }
 
     /// Parks the core's current section on its stalled control

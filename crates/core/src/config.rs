@@ -63,28 +63,14 @@ pub struct SimConfig {
     pub record_timings: bool,
     /// Whether the engines run the full static analysis of
     /// `parsecs-check` over the arena before simulating: the invariant
-    /// validator, the parallel-drain race certifier and the critical-path
-    /// bounds (debug builds additionally assert
-    /// `total_cycles ≥ critical_path` against the finished run). A
+    /// validator and the critical-path bounds (debug builds additionally
+    /// assert `total_cycles ≥ critical_path` against the finished run). A
     /// violation surfaces as [`crate::SimError::Invariant`]; a clean
     /// analysis is attached to [`crate::SimResult::check`]. Off by
     /// default — the simulation paths are untouched when disabled — and
     /// forced on by setting the `PARSECS_VALIDATE` environment variable
     /// to anything but `0` (how CI runs the whole suite validated).
     pub validate: bool,
-    /// Worker threads for the event-driven engine: `1` (the default)
-    /// runs fully sequential; above one, the cores are sharded into that
-    /// many clusters and the fetch walk and large drain rounds fork over
-    /// a scoped thread pool — **bit-identical** to the sequential run,
-    /// and only when the arena's static drain analysis is
-    /// [`crate::DrainSafety::Certified`] *and* the cluster partition is
-    /// [`crate::WalkSafety::Certified`] (otherwise the run is sequential
-    /// and carries a typed [`crate::ForkFallback`] on
-    /// [`crate::SimResult::fork_fallback`]). `0` means auto: one thread
-    /// per available CPU. The
-    /// default follows the `PARSECS_THREADS` environment variable when it
-    /// parses as an integer. The reference engine ignores this field.
-    pub threads: usize,
 }
 
 impl PartialEq for SimConfig {
@@ -100,7 +86,6 @@ impl PartialEq for SimConfig {
             && self.fetch_stalls_on_unresolved_control == other.fetch_stalls_on_unresolved_control
             && self.record_timings == other.record_timings
             && self.validate == other.validate
-            && self.threads == other.threads
     }
 }
 
@@ -108,16 +93,6 @@ impl PartialEq for SimConfig {
 /// `PARSECS_VALIDATE` environment variable is set to anything but `0`.
 fn validate_default() -> bool {
     std::env::var_os("PARSECS_VALIDATE").is_some_and(|v| v != "0")
-}
-
-/// The default of [`SimConfig::threads`]: `1`, unless the
-/// `PARSECS_THREADS` environment variable parses as an integer (where
-/// `0` means auto-detect).
-fn threads_default() -> usize {
-    std::env::var("PARSECS_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(1)
 }
 
 impl Default for SimConfig {
@@ -138,7 +113,6 @@ impl Default for SimConfig {
             fetch_stalls_on_unresolved_control: true,
             record_timings: true,
             validate: validate_default(),
-            threads: threads_default(),
         }
     }
 }
@@ -174,20 +148,12 @@ impl SimConfig {
         self
     }
 
-    /// Sets the worker-thread count (builder style) — see
-    /// [`SimConfig::threads`].
-    pub fn with_threads(mut self, threads: usize) -> SimConfig {
-        self.threads = threads;
-        self
-    }
-
-    /// The resolved worker-thread count: [`SimConfig::threads`], with
-    /// `0` (auto) replaced by the number of available CPUs.
+    /// Host threads one simulation runs on: always `1`. The engine is
+    /// a single sequential event loop; host parallelism lives across
+    /// simulations, in the driver's `Sweep`. Kept so benchmark rows can
+    /// stamp the engine's thread count.
     pub fn effective_threads(&self) -> usize {
-        match self.threads {
-            0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
-            t => t,
-        }
+        1
     }
 
     /// The effective topology: the configured one, or a crossbar over

@@ -68,20 +68,19 @@
 
 pub mod analytic;
 mod chip;
-mod cluster;
 mod config;
 mod drain;
 mod error;
 mod placement;
 mod reference;
 mod rename;
+mod sched;
 mod section;
 mod sim;
 mod timing;
 
-pub use cluster::cluster_windows;
 pub use config::SimConfig;
-pub use error::{FallbackReason, ForkFallback, SimError};
+pub use error::SimError;
 pub use placement::{ChainAffine, ChipView, LoadAware, Placement, PlacementPolicy, SectionDeps};
 pub use rename::{verify_single_assignment, MemoryAliasTable, RegisterAliasTable, RenameTag};
 pub use section::{InstRecord, SectionId, SectionSpan, SectionedTrace, SourceDep, SourceKind};
@@ -92,9 +91,8 @@ pub use timing::{format_figure10, InstTiming, SimStats};
 // [`SimResult::check`], [`SimError::Invariant`]) can consume the reports
 // without a separate dependency.
 pub use parsecs_check::{
-    bound_schedule, certify_walk, check_arena, prove_progress, BindingTerm, CheckReport, ChipModel,
-    DrainSafety, InvariantViolation, Progress, ScheduleBounds, StaticBounds, WaitEdge, WaitKind,
-    WalkSafety,
+    bound_schedule, check_arena, prove_progress, BindingTerm, CheckReport, ChipModel,
+    InvariantViolation, Progress, ScheduleBounds, StaticBounds, WaitEdge, WaitKind,
 };
 // The streaming trace pipeline this crate's engines consume; re-exported
 // so simulator callers can build arenas without a separate dependency.
@@ -105,5 +103,5 @@ pub use parsecs_trace::{PackedDep, StreamingSectioner, TraceArena, TraceError};
 // separate dependency.
 pub use parsecs_obs::{
     ChromeTraceWriter, CoreBreakdown, CountingProbe, CycleAttribution, NoopProbe, SimProbe,
-    StallCause, TickGauges, TimeSeries,
+    StallCause, TickGauges,
 };

@@ -20,11 +20,7 @@
 //! path, but the loop is kept (over the shared [`crate::chip::ChipState`]
 //! columns, [`crate::drain::Resolver`] and the same [`TraceArena`]) as the
 //! oracle: differential tests and the `repro_perf` benchmark assert that
-//! both engines produce bit-identical [`crate::SimResult`]s. The reference
-//! always drains sequentially ([`SimConfig::threads`] is an event-engine
-//! knob), so it also anchors the threaded runs' bit-identity.
-//!
-//! [`SimConfig::threads`]: crate::SimConfig::threads
+//! both engines produce bit-identical [`crate::SimResult`]s.
 
 use parsecs_machine::TraceKind;
 use parsecs_noc::CoreId;
@@ -52,11 +48,6 @@ pub(crate) fn simulate<P: SimProbe>(
     let n = arena.len();
 
     let prepared = sim.prepare(arena)?;
-    // The reference never forks, but it computes (and reports) the same
-    // fork verdict as the event engine, so [`SimResult`]s stay
-    // bit-identical — including the typed fallback and the attached
-    // progress/walk verdicts.
-    let (_, fork_fallback) = sim.fork_decision(arena, check.as_deref(), &prepared.core_of);
     sim.attach_verdicts(arena, check.as_deref_mut(), &prepared.core_of);
     let Prepared {
         core_of,
@@ -85,11 +76,10 @@ pub(crate) fn simulate<P: SimProbe>(
         }
     }
 
-    let mut fetched = 0usize;
     let mut cycle: u64 = 0;
     let safety = 200 * n as u64 + 10_000;
 
-    while fetched < n || resolver.resolved < n {
+    while resolver.fetched < n || resolver.resolved < n {
         cycle += 1;
         if cycle >= safety {
             return Err(SimError::Diverged {
@@ -99,7 +89,7 @@ pub(crate) fn simulate<P: SimProbe>(
                 instructions: n as u64,
             });
         }
-        let progress_before = fetched + resolver.resolved;
+        let progress_before = resolver.fetched + resolver.resolved;
 
         // Parked sections whose stall released rejoin their ready queue.
         while let Some((idx, sid)) = stalls.pop_due(cycle) {
@@ -134,7 +124,7 @@ pub(crate) fn simulate<P: SimProbe>(
                 noc_in_flight: network.in_flight() as u64,
                 parked: stalls.parked() as u64,
             });
-            probe.on_walk(cycle, 1, running, false);
+            probe.on_walk(cycle, running);
         }
 
         // Fetch-decode: one instruction per core per cycle.
@@ -143,8 +133,7 @@ pub(crate) fn simulate<P: SimProbe>(
                 // Dequeuing the next ready section consumes this cycle;
                 // fetch starts on the next one.
                 if let Some(next) = chip.queue_pop(core_index) {
-                    let resumed = stalls.resume_points()[next as usize] != usize::MAX;
-                    stalls.begin_section(&mut chip, core_index, sections, next);
+                    let resumed = stalls.begin_section(&mut chip, core_index, sections, next);
                     attr.begin(core_index, cycle);
                     if P::ENABLED {
                         probe.on_section_begin(core_index, next, cycle, resumed);
@@ -175,7 +164,6 @@ pub(crate) fn simulate<P: SimProbe>(
             let seq = chip.next_seq[core_index] as usize;
             let kind = arena.kind(seq);
             resolver.fetch(seq, cycle);
-            fetched += 1;
             chip.next_seq[core_index] += 1;
 
             // A fork sends a section-creation message to the host core
@@ -212,9 +200,9 @@ pub(crate) fn simulate<P: SimProbe>(
         }
 
         // Dependence resolution (the engine shared with the event-driven
-        // simulator; the reference never forks it).
+        // simulator).
         completions.clear();
-        resolver.drain(&network, &core_of, &mut completions, None, cycle, probe);
+        resolver.drain(&network, &core_of, &mut completions, cycle, probe);
 
         // A completion that a parked section stalls on is its modeled
         // release event: requeue the section on the first cycle after both
@@ -271,9 +259,9 @@ pub(crate) fn simulate<P: SimProbe>(
         // parked stalls (the branches resolve out of order in the execute
         // stage) and counts the firing; the driver layer surfaces any
         // non-zero count as an error.
-        if fetched + resolver.resolved == progress_before
+        if resolver.fetched + resolver.resolved == progress_before
             && stalls.parked() > 0
-            && fetched < n
+            && resolver.fetched < n
             && network.in_flight() == 0
             && !stalls.pending_requeues()
             && (0..config.cores)
@@ -293,7 +281,6 @@ pub(crate) fn simulate<P: SimProbe>(
         network.stats(),
         forced_stall_releases,
         check,
-        fork_fallback,
         attribution,
     )
 }

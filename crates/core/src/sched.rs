@@ -1,37 +1,22 @@
-//! Per-cluster event scheduling and the fetch-decode walk.
+//! Event scheduling and the fetch-decode walk of the event engine.
 //!
-//! The event engine partitions the chip's cores into contiguous
-//! **clusters** (the clustered hardware task manager shape): each cluster
-//! owns a two-level calendar queue ([`WakeQueue`]) and an intrusive run
-//! list ([`RunList`]) over its *local* core indices, and walks its cores
-//! each simulated cycle through a disjoint [`CoreView`] window of the
-//! chip columns. Cross-cluster effects — instruction fetches into the
-//! resolver, NoC section-creation sends, resume-point clears — are
-//! *buffered* per cluster during the walk and committed sequentially in
-//! ascending cluster order afterwards, which replays exactly the
-//! ascending-core-index order of the sequential walk:
-//!
-//! * a fetch's only same-cycle side effect on other cores is the tagged
-//!   `complete[seq] = INCOMPLETE | cycle` write, and both `UNKNOWN` and
-//!   that encoding sit at or above `INCOMPLETE`, so every same-cycle
-//!   predicate (`completion()`, `fetch_computable`) reads them
-//!   identically — deferring the write is invisible;
-//! * NoC sends are committed in the walk's core order, preserving the
-//!   link-bandwidth accounting order;
-//! * everything else the walk touches is cluster-local.
-//!
-//! One walk implementation serves both paths: a single-cluster run is the
-//! sequential engine, a multi-cluster run forks the same walk over the
-//! scoped pool — bit-identity between them holds by construction.
+//! The [`Scheduler`] owns the chip's two-level calendar queue
+//! ([`WakeQueue`]) and its intrusive run list ([`RunList`]), and
+//! [`walk`] steps the cores that act in a simulated cycle in ascending
+//! order — the order of the reference loop's core-by-core scan, so both
+//! engines fetch, send fork messages and begin or end sections in the
+//! same sequence.
 
 use std::collections::HashMap;
 
 use parsecs_machine::TraceKind;
+use parsecs_noc::{CoreId, Network};
+use parsecs_obs::{CycleAttribution, SimProbe};
 use parsecs_trace::TraceArena;
 
-use crate::chip::{ChipState, CoreView, NO_SECTION, NO_STALL, NO_WAKE};
-use crate::drain::{completion_of, fetch_computable};
-use crate::{SectionId, SectionSpan};
+use crate::chip::{ChipState, StallTable, NO_SECTION, NO_STALL, NO_WAKE};
+use crate::drain::{fetch_computable, Resolver};
+use crate::SectionId;
 
 /// Near-term window of the event scheduler's calendar queue, in cycles.
 /// Almost every wake-up is `cycle + 1` (the fetch continuation each
@@ -41,7 +26,7 @@ const NEAR_WINDOW: u64 = 8;
 
 /// Two-level per-core wake-up queue: a calendar ring for events within
 /// [`NEAR_WINDOW`] cycles of the clock and a binary heap for the far
-/// future. Entries are `(cycle, local core)`; an entry is *stale* when
+/// future. Entries are `(cycle, core)`; an entry is *stale* when
 /// the core's `wake_at` no longer matches (a sooner wake-up replaced it)
 /// and is dropped when its cycle is visited. The clock never jumps past a
 /// queued entry, so each ring slot only ever holds entries for the single
@@ -104,7 +89,7 @@ impl WakeQueue {
         self.horizon = cycle;
     }
 
-    /// Drains every entry due at `cycle` into `due` (unsorted local core
+    /// Drains every entry due at `cycle` into `due` (unsorted core
     /// indices; stale entries — whose core no longer wakes at `cycle` —
     /// are filtered by the caller's `wake_at` check).
     fn drain_due(&mut self, cycle: u64, due: &mut Vec<usize>) {
@@ -124,9 +109,9 @@ impl WakeQueue {
     }
 }
 
-/// The sorted set of a cluster's cores that act on every cycle (fetching,
+/// The sorted set of cores that act on every cycle (fetching,
 /// dequeuing, or releasing a next-cycle stall), kept as an intrusive
-/// doubly-linked list over local core indices so that the overwhelmingly
+/// doubly-linked list over core indices so that the overwhelmingly
 /// common case — a core fetching straight-line code — costs *zero*
 /// scheduling work per cycle: the core simply stays in the list. Cores
 /// join when a calendar wake-up makes them act and leave when they go
@@ -233,176 +218,127 @@ impl RunList {
     }
 }
 
-/// One cluster of the chip: a contiguous range of cores with its own
-/// calendar queue, run list, and per-cycle effect buffers (local core
-/// indices throughout; `start` maps them back to chip ids).
-pub(crate) struct Cluster {
-    pub(crate) start: usize,
-    pub(crate) len: usize,
+/// The event engine's scheduling state: the calendar queue, the run
+/// list and the walk's scratch buffers.
+pub(crate) struct Scheduler {
     pub(crate) wakes: WakeQueue,
     pub(crate) running: RunList,
     /// Calendar wake-ups due this cycle (drained at the top of the walk).
     due: Vec<usize>,
     /// Run-list membership changes deferred by the walk (`true` = join).
     membership: Vec<(usize, bool)>,
-    /// Trace indices fetched this cycle, in walk (ascending core) order.
-    pub(crate) fetched: Vec<u32>,
-    /// `(global source core, created section)` fork messages, in walk
-    /// order — committed to the NoC in this order so the link-bandwidth
-    /// accounting matches the sequential engine's.
-    pub(crate) sends: Vec<(u32, u32)>,
-    /// `(local core, section, resumed)` fetch-slot entries of this cycle,
-    /// in walk order — every dequeue, fresh or resumed. A resumed entry's
-    /// saved resume point was consumed by the walk (the deferred
-    /// `StallTable::clear_resume`); the commit phase also feeds all
-    /// entries to the cycle-attribution accumulator and the probe.
-    pub(crate) began: Vec<(u32, u32, bool)>,
-    /// `(local core, section, fetched)` fetch-slot exits of this cycle,
-    /// in walk order (`fetched` = the ending instruction was fetched this
-    /// cycle; false only for the empty-section defensive path). Consumed
-    /// by the sequential commit phase for attribution and the probe.
-    pub(crate) ended: Vec<(u32, u32, bool)>,
-    /// Local core indices that entered a fetch stall this cycle; the
-    /// post-drain dispatch parks or reschedules them.
+    /// Cores that entered a fetch stall this cycle; the post-drain
+    /// dispatch parks or reschedules them.
     pub(crate) newly_stalled: Vec<u32>,
 }
 
-impl Cluster {
-    fn new(start: usize, len: usize) -> Cluster {
-        Cluster {
-            start,
-            len,
+impl Scheduler {
+    pub(crate) fn new(cores: usize) -> Scheduler {
+        Scheduler {
             wakes: WakeQueue::new(),
-            running: RunList::new(len),
+            running: RunList::new(cores),
             due: Vec::new(),
             membership: Vec::new(),
-            fetched: Vec::new(),
-            sends: Vec::new(),
-            began: Vec::new(),
-            ended: Vec::new(),
             newly_stalled: Vec::new(),
+        }
+    }
+
+    /// Registers `at` as core `idx`'s next wake-up cycle (keeping the
+    /// earlier one when the core already has a sooner event).
+    pub(crate) fn schedule(&mut self, chip: &mut ChipState, idx: usize, at: u64) {
+        let existing = chip.wake_at[idx];
+        if existing == NO_WAKE || existing > at {
+            chip.wake_at[idx] = at;
+            self.wakes.push(at, idx);
         }
     }
 }
 
-/// The contiguous near-equal `(start, len)` windows the chip is sharded
-/// into for `clusters` clusters (clamped to at least one core per
-/// cluster). This is the partition both the engine and the static walk
-/// certifier reason about: ascending, disjoint, tiling `[0, cores)` by
-/// construction for every cluster count.
-pub fn cluster_windows(cores: usize, clusters: usize) -> Vec<(usize, usize)> {
-    let k = clusters.clamp(1, cores.max(1));
-    let base = cores / k;
-    let rem = cores % k;
-    let mut out = Vec::with_capacity(k);
-    let mut start = 0;
-    for i in 0..k {
-        let len = base + usize::from(i < rem);
-        out.push((start, len));
-        start += len;
-    }
-    debug_assert_eq!(start, cores);
-    out
-}
-
-/// Splits `cores` cores into `clusters` contiguous clusters of
-/// near-equal size over [`cluster_windows`].
-pub(crate) fn partition(cores: usize, clusters: usize) -> Vec<Cluster> {
-    cluster_windows(cores, clusters)
-        .into_iter()
-        .map(|(start, len)| Cluster::new(start, len))
-        .collect()
-}
-
-/// Registers `at` as core `idx`'s next wake-up cycle (keeping the earlier
-/// one when the core already has a sooner event).
-pub(crate) fn schedule(chip: &mut ChipState, cluster: &mut Cluster, idx: usize, at: u64) {
-    let existing = chip.wake_at[idx];
-    if existing == NO_WAKE || existing > at {
-        chip.wake_at[idx] = at;
-        cluster.wakes.push(at, idx - cluster.start);
-    }
-}
-
-/// The read-only inputs every cluster's walk shares for one cycle.
-pub(crate) struct WalkCtx<'a> {
+/// What one cycle's walk touches besides the chip columns and the
+/// scheduler.
+pub(crate) struct WalkCtx<'w, 'a, P> {
     pub(crate) arena: &'a TraceArena,
-    pub(crate) sections: &'a [SectionSpan],
-    pub(crate) created_by: &'a HashMap<usize, SectionId>,
-    /// The resolver's tagged completion column (read-only this phase).
-    pub(crate) complete: &'a [u64],
-    /// The stall table's per-section resume points (clears deferred
-    /// through the `begun` buffer).
-    pub(crate) resume_at: &'a [usize],
-    /// The intrusive ready-queue links (pops only read them).
-    pub(crate) queue_next: &'a [u32],
+    pub(crate) created_by: &'w HashMap<usize, SectionId>,
+    pub(crate) core_of: &'w [CoreId],
+    /// Takes the cycle's fetches.
+    pub(crate) resolver: &'w mut Resolver<'a>,
+    /// Carries the fork messages.
+    pub(crate) network: &'w mut Network<SectionId>,
+    /// Holds the resume points of parked sections.
+    pub(crate) stalls: &'w mut StallTable,
+    pub(crate) attr: &'w mut CycleAttribution,
+    pub(crate) probe: &'w mut P,
     pub(crate) fetch_stalls: bool,
     pub(crate) cycle: u64,
 }
 
-/// One cluster's fetch-decode phase for one cycle: drains the cluster's
-/// due calendar wake-ups, steps every acting core in ascending local
-/// order (dense scan or sparse run-list merge, same as the sequential
-/// engine), buffers all cross-cluster effects, and applies the deferred
-/// run-list membership changes. Safe to run concurrently across clusters:
-/// everything written is cluster-local.
-pub(crate) fn walk_cluster(cluster: &mut Cluster, view: &mut CoreView<'_>, ctx: &WalkCtx<'_>) {
-    let cycle = ctx.cycle;
-    cluster.wakes.advance_to(cycle);
-    let mut due = std::mem::take(&mut cluster.due);
+/// The fetch-decode phase of one cycle: drains the due calendar
+/// wake-ups, steps every acting core in ascending order (dense scan or
+/// sparse run-list merge), and applies the deferred run-list membership
+/// changes.
+pub(crate) fn walk<P: SimProbe>(
+    sched: &mut Scheduler,
+    chip: &mut ChipState,
+    ctx: WalkCtx<'_, '_, P>,
+) {
+    let WalkCtx {
+        arena,
+        created_by,
+        core_of,
+        resolver,
+        network,
+        stalls,
+        attr,
+        probe,
+        fetch_stalls,
+        cycle,
+    } = ctx;
+    let sections = arena.sections();
+    sched.wakes.advance_to(cycle);
+    let mut due = std::mem::take(&mut sched.due);
     due.clear();
-    cluster.wakes.drain_due(cycle, &mut due);
+    sched.wakes.drain_due(cycle, &mut due);
 
     macro_rules! step_core {
-        ($local:expr, $is_member:expr) => {{
-            let local: usize = $local;
+        ($core:expr, $is_member:expr) => {{
+            let core: usize = $core;
             let is_member: bool = $is_member;
 
-            if view.current[local] == NO_SECTION {
+            if chip.current[core] == NO_SECTION {
                 // Dequeuing the next ready section consumes this cycle;
                 // fetch starts on the next one.
-                let head = view.queue_head[local];
-                if head != NO_SECTION {
-                    view.queue_head[local] = ctx.queue_next[head as usize];
-                    if view.queue_head[local] == NO_SECTION {
-                        view.queue_tail[local] = NO_SECTION;
+                if let Some(head) = chip.queue_pop(core) {
+                    let resumed = stalls.begin_section(chip, core, sections, head);
+                    attr.begin(core, cycle);
+                    if P::ENABLED {
+                        probe.on_section_begin(core, head, cycle, resumed);
                     }
-                    view.current[local] = head;
-                    let resume = ctx.resume_at[head as usize];
-                    view.next_seq[local] = if resume == usize::MAX {
-                        cluster.began.push((local as u32, head, false));
-                        ctx.sections[head as usize].start as u32
-                    } else {
-                        cluster.began.push((local as u32, head, true));
-                        resume as u32
-                    };
                     if !is_member {
-                        cluster.membership.push((local, true));
+                        sched.membership.push((core, true));
                     }
                 } else if is_member {
-                    cluster.membership.push((local, false));
+                    sched.membership.push((core, false));
                 }
                 continue;
             }
-            if view.stall_on[local] != NO_STALL {
-                let stalled_on = view.stall_on[local] as usize;
-                match completion_of(ctx.complete, stalled_on) {
+            if chip.stall_on[core] != NO_STALL {
+                match resolver.completion(chip.stall_on[core] as usize) {
                     Some(c) if c < cycle => {
-                        view.stall_on[local] = NO_STALL;
+                        chip.stall_on[core] = NO_STALL;
                     }
                     Some(c) => {
                         // The stall releases once the control
                         // instruction's completion is past.
                         if c + 1 == cycle + 1 {
                             if !is_member {
-                                cluster.membership.push((local, true));
+                                sched.membership.push((core, true));
                             }
                         } else {
                             if is_member {
-                                cluster.membership.push((local, false));
+                                sched.membership.push((core, false));
                             }
-                            view.wake_at[local] = c + 1;
-                            cluster.wakes.push(c + 1, local);
+                            chip.wake_at[core] = c + 1;
+                            sched.wakes.push(c + 1, core);
                         }
                         continue;
                     }
@@ -412,71 +348,79 @@ pub(crate) fn walk_cluster(cluster: &mut Cluster, view: &mut CoreView<'_>, ctx: 
                     None => unreachable!("an in-place stall has a known completion"),
                 }
             }
-            let sid = view.current[local] as usize;
-            let span = &ctx.sections[sid];
-            if view.next_seq[local] as usize >= span.end {
-                view.current[local] = NO_SECTION;
-                cluster.ended.push((local as u32, sid as u32, false));
-                if view.queue_head[local] == NO_SECTION {
+            let sid = chip.current[core];
+            let span = &sections[sid as usize];
+            if chip.next_seq[core] as usize >= span.end {
+                chip.current[core] = NO_SECTION;
+                attr.end_nofetch(core, cycle);
+                if P::ENABLED {
+                    probe.on_section_end(core, sid, cycle, false);
+                }
+                if chip.queue_head[core] == NO_SECTION {
                     if is_member {
-                        cluster.membership.push((local, false));
+                        sched.membership.push((core, false));
                     }
                 } else if !is_member {
-                    cluster.membership.push((local, true));
+                    sched.membership.push((core, true));
                 }
                 continue;
             }
-            let seq = view.next_seq[local] as usize;
-            let kind = ctx.arena.kind(seq);
-            cluster.fetched.push(seq as u32);
-            view.next_seq[local] += 1;
+            let seq = chip.next_seq[core] as usize;
+            let kind = arena.kind(seq);
+            resolver.fetch(seq, cycle);
+            chip.next_seq[core] += 1;
 
             // A fork sends a section-creation message to the host core of
             // the created section.
             if kind == TraceKind::Fork {
-                if let Some(&child) = ctx.created_by.get(&seq) {
-                    cluster
-                        .sends
-                        .push(((cluster.start + local) as u32, child.0 as u32));
+                if let Some(&child) = created_by.get(&seq) {
+                    let dst = core_of[child.0];
+                    network.send(CoreId(core), dst, child, cycle);
+                    if P::ENABLED {
+                        probe.on_noc_send(core, dst.0, child.0 as u32, cycle);
+                    }
                 }
             }
 
             let ends_section = kind == TraceKind::EndFork
                 || kind == TraceKind::Halt
-                || view.next_seq[local] as usize >= span.end;
+                || chip.next_seq[core] as usize >= span.end;
             if ends_section {
-                view.current[local] = NO_SECTION;
-                cluster.ended.push((local as u32, sid as u32, true));
-                if view.queue_head[local] == NO_SECTION {
+                chip.current[core] = NO_SECTION;
+                attr.end_fetch(core, cycle);
+                if P::ENABLED {
+                    probe.on_section_end(core, sid, cycle, true);
+                }
+                if chip.queue_head[core] == NO_SECTION {
                     if is_member {
-                        cluster.membership.push((local, false));
+                        sched.membership.push((core, false));
                     }
                 } else if !is_member {
-                    cluster.membership.push((local, true));
+                    sched.membership.push((core, true));
                 }
-            } else if ctx.fetch_stalls
-                && ctx.arena.is_control(seq)
-                && !fetch_computable(ctx.arena, seq, ctx.complete, cycle)
+            } else if fetch_stalls
+                && arena.is_control(seq)
+                && !fetch_computable(arena, seq, &resolver.complete, cycle)
             {
                 // The fetch stage could not compute this control
                 // instruction (empty sources): the IP stays empty until
                 // the instruction executes. Tentatively keep the core
                 // running; the post-drain dispatch parks or reschedules
                 // it if the stall spans cycles.
-                view.stall_on[local] = seq as u32;
-                cluster.newly_stalled.push(local as u32);
+                chip.stall_on[core] = seq as u32;
+                sched.newly_stalled.push(core as u32);
                 if !is_member {
-                    cluster.membership.push((local, true));
+                    sched.membership.push((core, true));
                 }
             } else if !is_member {
                 // Fetch continuation: members stay in the run list at
                 // zero cost, joiners enter it.
-                cluster.membership.push((local, true));
+                sched.membership.push((core, true));
             }
         }};
     }
 
-    if 2 * cluster.running.len >= cluster.len {
+    if 2 * sched.running.len >= chip.current.len() {
         // Dense path: most cores act every cycle, so a linear scan of the
         // columns (the reference loop's shape, minus the idle-core queue
         // probes) beats walking the list. Calendar wake-ups due now are
@@ -484,58 +428,58 @@ pub(crate) fn walk_cluster(cluster: &mut Cluster, view: &mut CoreView<'_>, ctx: 
         // covers them in index order and the drained entries are dropped.
         // Membership updates go through the flags alone; the links are
         // rebuilt when a sparse cycle next needs them.
-        cluster.running.invalidate_links();
-        for local in 0..cluster.len {
-            let is_member = view.running[local];
+        sched.running.invalidate_links();
+        for core in 0..chip.current.len() {
+            let is_member = chip.running[core];
             if !is_member {
-                if view.wake_at[local] != cycle {
+                if chip.wake_at[core] != cycle {
                     continue;
                 }
-                view.wake_at[local] = NO_WAKE;
+                chip.wake_at[core] = NO_WAKE;
             }
-            step_core!(local, is_member);
+            step_core!(core, is_member);
         }
     } else {
         // Sparse path: walk the run-list members, merging in the calendar
         // wake-ups (rare) by a two-pointer pass.
-        cluster.running.ensure_links(view.running);
+        sched.running.ensure_links(&chip.running);
         due.sort_unstable();
         let mut di = 0usize;
-        let mut cursor = cluster.running.head;
+        let mut cursor = sched.running.head;
         loop {
             // Pick the smaller of the next due core and the next member;
             // a due entry for a member is stale (skipped).
-            let (local, is_member) = match (due.get(di), cursor) {
+            let (core, is_member) = match (due.get(di), cursor) {
                 (Some(&d), cur) if cur == NO_CORE || d <= cur => {
                     di += 1;
-                    if view.wake_at[d] != cycle {
+                    if chip.wake_at[d] != cycle {
                         continue; // stale entry
                     }
-                    view.wake_at[d] = NO_WAKE;
+                    chip.wake_at[d] = NO_WAKE;
                     (d, false)
                 }
                 (_, cur) if cur != NO_CORE => {
-                    cursor = cluster.running.next[cur];
+                    cursor = sched.running.next[cur];
                     (cur, true)
                 }
                 _ => break,
             };
-            step_core!(local, is_member);
+            step_core!(core, is_member);
         }
     }
     due.clear();
-    cluster.due = due;
+    sched.due = due;
 
     // Apply the walk's membership changes before anything after the walk
     // consults or edits the run list.
-    let mut membership = std::mem::take(&mut cluster.membership);
-    for &(local, join) in &membership {
+    let mut membership = std::mem::take(&mut sched.membership);
+    for &(core, join) in &membership {
         if join {
-            cluster.running.insert(view.running, local);
+            sched.running.insert(&mut chip.running, core);
         } else {
-            cluster.running.remove(view.running, local);
+            sched.running.remove(&mut chip.running, core);
         }
     }
     membership.clear();
-    cluster.membership = membership;
+    sched.membership = membership;
 }

@@ -173,15 +173,6 @@ impl ManyCoreBackend {
         self
     }
 
-    /// Sets the event engine's worker-thread count (builder style) — see
-    /// [`SimConfig::threads`]: above one, the run forks its fetch walk
-    /// and drain rounds, bit-identically to the sequential path and only
-    /// under a `Certified` static drain verdict.
-    pub fn threaded(mut self, threads: usize) -> ManyCoreBackend {
-        self.config.threads = threads;
-        self
-    }
-
     /// Like [`ExecutionBackend::execute`], with a telemetry probe
     /// observing the timing run (see
     /// [`parsecs_core::ManyCoreSim::simulate_arena_probed`]). Probes are
@@ -246,9 +237,9 @@ impl ManyCoreBackend {
 /// setting that differs from [`SimConfig::default`] — the single place
 /// every label suffix is assembled, so no two distinct sweep
 /// configurations can share a label and no call site can disagree on
-/// suffix order. Defaults follow the environment (`PARSECS_VALIDATE`,
-/// `PARSECS_THREADS`), so forcing validation or threading on for a whole
-/// suite leaves every label unchanged.
+/// suffix order. The validation default follows the environment
+/// (`PARSECS_VALIDATE`), so forcing validation on for a whole suite
+/// leaves every label unchanged.
 pub(crate) fn manycore_label(config: &SimConfig) -> String {
     let defaults = SimConfig::default();
     let mut name = format!("manycore:{}c:{}", config.cores, config.placement.name());
@@ -280,9 +271,6 @@ pub(crate) fn manycore_label(config: &SimConfig) -> String {
     }
     if !config.record_timings {
         name.push_str(":stats");
-    }
-    if config.threads != defaults.threads {
-        name.push_str(&format!(":t{}", config.threads));
     }
     if config.validate != defaults.validate {
         name.push_str(if config.validate {
@@ -442,7 +430,6 @@ mod tests {
         let report = validated.execute(&program).unwrap();
         let check = report.check().expect("validated run carries a report");
         assert!(check.is_clean());
-        assert_eq!(report.drain_certified(), Some(true));
         assert!(check.bounds.as_ref().unwrap().critical_path <= report.cycles);
         // Aside from the attachment (and possibly the label), the
         // validated run is identical.
@@ -451,7 +438,6 @@ mod tests {
         assert_eq!(baseline.outputs, report.outputs);
         if !SimConfig::default().validate {
             assert_eq!(baseline.check(), None);
-            assert_eq!(baseline.drain_certified(), None);
         }
     }
 
@@ -474,29 +460,20 @@ mod tests {
 
     #[test]
     fn manycore_label_assembles_every_suffix_in_one_place() {
-        // Threading gets its own suffix, stacked in the helper's fixed
-        // order after `:stats` — only relative to the (env-following)
-        // default, so a PARSECS_THREADS environment keeps names stable.
-        let default_threads = SimConfig::default().threads;
-        let threaded = ManyCoreBackend::with_cores(8).threaded(default_threads + 3);
-        assert_eq!(
-            threaded.name(),
-            format!("manycore:8c:round-robin:t{}", default_threads + 3)
-        );
-        assert_eq!(
-            ManyCoreBackend::with_cores(8)
-                .threaded(default_threads)
-                .name(),
-            "manycore:8c:round-robin"
-        );
-        let stacked = ManyCoreBackend::new(
-            SimConfig::with_cores(8)
-                .stats_only()
-                .with_threads(default_threads + 1),
-        );
+        // Suffixes stack in the helper's fixed order, the validation one
+        // only relative to the (env-following) default, so a
+        // PARSECS_VALIDATE environment keeps names stable.
+        let mut config = SimConfig::with_cores(8).stats_only();
+        config.validate = !SimConfig::default().validate;
+        let stacked = ManyCoreBackend::new(config);
+        let validate = if stacked.config().validate {
+            ":validate"
+        } else {
+            ":novalidate"
+        };
         assert_eq!(
             stacked.name(),
-            format!("manycore:8c:round-robin:stats:t{}", default_threads + 1)
+            format!("manycore:8c:round-robin:stats{validate}")
         );
         // The backend's public name and the helper agree by construction.
         assert_eq!(stacked.name(), manycore_label(stacked.config()));

@@ -2,9 +2,7 @@
 
 use std::fmt;
 
-use parsecs_core::{
-    CheckReport, CoreBreakdown, ForkFallback, InstTiming, Progress, ScheduleBounds, SimResult,
-};
+use parsecs_core::{CheckReport, CoreBreakdown, InstTiming, Progress, ScheduleBounds, SimResult};
 use parsecs_ilp::IlpResult;
 use parsecs_machine::Trace;
 
@@ -141,13 +139,6 @@ impl RunReport {
         self.sim().and_then(|r| r.check.as_deref())
     }
 
-    /// Whether the parallel-drain race certificate was issued for this
-    /// run (`None` when the run was not validated — see
-    /// [`RunReport::check`]).
-    pub fn drain_certified(&self) -> Option<bool> {
-        self.check().map(|report| report.drain.is_certified())
-    }
-
     /// The configuration-aware progress verdict for this run's
     /// (placement × chip) cell: [`Progress::Proven`] with the longest
     /// wait chain, or [`Progress::PotentialCycle`] with a concrete
@@ -164,22 +155,6 @@ impl RunReport {
     /// validated on the simulator backend.
     pub fn schedule_bounds(&self) -> Option<&ScheduleBounds> {
         self.check().and_then(|report| report.schedule.as_ref())
-    }
-
-    /// Whether the partition-agnostic walk certificate was issued for
-    /// this run (`None` when the run was not validated).
-    pub fn walk_certified(&self) -> Option<bool> {
-        self.check().map(|report| report.walk.is_certified())
-    }
-
-    /// The typed record of a withheld parallel fork: `Some` when the run
-    /// asked for threads but a static certificate (drain or walk) was
-    /// withheld and it ran sequentially; `None` when no fork was
-    /// requested, the fork ran, or the backend is not the many-core
-    /// model. Never silent: a threaded run always reports either both
-    /// certificates or this reason.
-    pub fn fork_fallback(&self) -> Option<ForkFallback> {
-        self.sim().and_then(|r| r.fork_fallback)
     }
 
     /// The per-core cycle attribution table, when the backend is the

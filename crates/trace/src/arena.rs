@@ -537,6 +537,36 @@ impl TraceArena {
         }
     }
 
+    /// Rebuilds an arena from raw columns verbatim — the inverse of
+    /// [`TraceArena::raw`], with the section spans, outputs and lean flag
+    /// [`RawColumns`] does not carry. Performs **no** validation: the
+    /// result may break any layout contract, which is the point —
+    /// mutation corpora build corrupt arenas with it and run
+    /// `parsecs-check` over them. Never simulate an arena built this way
+    /// without validating it first.
+    pub fn from_raw_parts(
+        raw: RawColumns<'_>,
+        sections: &[SectionSpan],
+        outputs: &[u64],
+        lean: bool,
+    ) -> TraceArena {
+        TraceArena {
+            ip: raw.ip.to_vec(),
+            mnemonic_id: raw.mnemonic_id.to_vec(),
+            section: raw.section.to_vec(),
+            kind_flags: raw.kind_flags.to_vec(),
+            dep_off: raw.dep_off.to_vec(),
+            reg_deps: raw.reg_deps.to_vec(),
+            write_off: raw.write_off.to_vec(),
+            deps: raw.deps.to_vec(),
+            writes: raw.writes.to_vec(),
+            mnemonics: raw.mnemonics.to_vec(),
+            sections: sections.to_vec(),
+            outputs: outputs.to_vec(),
+            lean,
+        }
+    }
+
     /// [`TraceArena::memory_bytes`] per instruction.
     pub fn bytes_per_instruction(&self) -> f64 {
         if self.is_empty() {

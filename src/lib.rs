@@ -15,9 +15,8 @@
 //!   resolves dependences on the fly, into flat [`trace::TraceArena`]
 //!   columns.
 //! * [`check`] — static analysis over trace arenas: the invariant
-//!   validator, the parallel-drain race certifier
-//!   ([`check::DrainSafety`]), the dependence-DAG critical-path /
-//!   ILP-width bounds the engines are grounded against, and the
+//!   validator, the dependence-DAG critical-path / ILP-width bounds the
+//!   engines are grounded against, the progress prover, and the
 //!   config-aware schedule analyzer ([`check::ScheduleBounds`]) whose
 //!   certified NoC/placement-weighted lower bound and scored
 //!   list-schedule predictor price a chip cell without simulating it.
@@ -26,8 +25,8 @@
 //! * [`noc`] — network-on-chip substrate.
 //! * [`obs`] — zero-cost telemetry: the [`obs::SimProbe`] hook trait the
 //!   engines are monomorphized over, exact per-core
-//!   [`obs::CycleAttribution`], bounded [`obs::TimeSeries`] gauges, and
-//!   the Perfetto-loadable [`obs::ChromeTraceWriter`].
+//!   [`obs::CycleAttribution`], and the Perfetto-loadable
+//!   [`obs::ChromeTraceWriter`].
 //! * [`core`] — the paper's contribution: the sectioned parallel execution
 //!   model, its many-core six-stage-pipeline simulator, and the pluggable
 //!   [`core::PlacementPolicy`] deciding which core hosts each section.

@@ -1,19 +1,20 @@
 //! Mutation corpus for the `parsecs::check` static analysis.
 //!
-//! Every workload generator's arena must come back clean, certified for
-//! the parallel drain, and bounded (`total_cycles ≥ critical_path` on
-//! every chip size). And the validator must actually *detect* broken
-//! invariants: these tests rebuild real arenas record-by-record through
-//! the public column builder, inject one targeted corruption — a swapped
-//! dependence edge, an overlapping section span, a stale writer claim, a
-//! truncated dependence slice, an invalid 16-byte packing, a bogus
-//! creator link, an unclosed record — and assert the report names the
-//! matching [`InvariantViolation`] variant. A proptest then sweeps the
+//! Every workload generator's arena must come back clean and bounded
+//! (`total_cycles ≥ critical_path` on every chip size). And the validator
+//! must actually *detect* broken invariants: these tests rebuild real
+//! arenas record-by-record through the public column builder (or, for
+//! offsets the builder cannot produce, straight from the raw columns),
+//! inject one targeted corruption — a swapped dependence edge, an
+//! overlapping section span, a stale writer claim, a truncated or
+//! inverted dependence slice, an invalid 16-byte packing, a bogus creator
+//! link, an unclosed record — and assert the report names the matching
+//! [`InvariantViolation`] variant. A proptest then sweeps the
 //! same mutations across random seeds and all five generators.
 
-use parsecs::check::{check_arena, DrainSafety, InvariantViolation, Progress};
+use parsecs::check::{check_arena, InvariantViolation, Progress};
 use parsecs::core::{ManyCoreSim, SimConfig};
-use parsecs::trace::{PackedDep, SectionId, SectionSpan, TraceArena};
+use parsecs::trace::{PackedDep, RawColumns, SectionId, SectionSpan, TraceArena};
 use parsecs::workloads::scale;
 use proptest::prelude::*;
 
@@ -130,7 +131,7 @@ fn mutate(src: &TraceArena, mutation: usize) -> Option<(TraceArena, &'static str
             |i, s| span.clone().filter(|m| m.0 == i).map_or(s, |m| m.1),
         )
     };
-    match mutation % 8 {
+    match mutation % 9 {
         // Swapped dependence edge: a producer at/after its consumer.
         0 => {
             let (seq, j, dep) = find_dep(src, |_, _, d| {
@@ -225,11 +226,34 @@ fn mutate(src: &TraceArena, mutation: usize) -> Option<(TraceArena, &'static str
         }
         // Unclosed record: `begin_record` with no matching `end_record`
         // desynchronises every fixed-width column.
-        _ => {
+        7 => {
             let mut out = identity(src, None, None, None, None);
             let id = out.intern_mnemonic("dangling");
             out.begin_record(0, id, SectionId(0), src.kind(0), false, false, false);
             Some((out, "ColumnBroken"))
+        }
+        // Inverted dependence slice: two adjacent offsets swapped, so a
+        // record's slice starts past its end (`dep_off[i] > dep_off[i+1]`).
+        // The builder only ever appends offsets, so this one is assembled
+        // from the raw columns.
+        _ => {
+            let raw = src.raw();
+            let seq = (1..src.len()).find(|&seq| raw.dep_off[seq] < raw.dep_off[seq + 1])?;
+            let mut dep_off = raw.dep_off.to_vec();
+            dep_off.swap(seq, seq + 1);
+            let inverted = RawColumns {
+                dep_off: &dep_off,
+                ..raw
+            };
+            Some((
+                TraceArena::from_raw_parts(
+                    inverted,
+                    src.sections(),
+                    src.outputs(),
+                    !src.records_writes(),
+                ),
+                "DepSliceBroken",
+            ))
         }
     }
 }
@@ -249,7 +273,7 @@ fn is_variant(violation: &InvariantViolation, name: &str) -> bool {
 }
 
 /// Runs one mutation against one base arena and asserts the validator
-/// reports the matching variant (and withholds the drain certificate).
+/// reports the matching variant (and withholds every bound).
 fn assert_detected(which: usize, seed: u64, mutation: usize) {
     let (name, src) = base_arena(which, seed);
     let Some((mutated, expected)) = mutate(&src, mutation) else {
@@ -263,10 +287,6 @@ fn assert_detected(which: usize, seed: u64, mutation: usize) {
     assert!(
         report.violations.iter().any(|v| is_variant(v, expected)),
         "{name}: mutation {mutation} should report {expected}, got: {report}"
-    );
-    assert!(
-        matches!(report.drain, DrainSafety::Unchecked),
-        "{name}: a corrupt arena must not be certified"
     );
     assert!(
         report.bounds.is_none(),
@@ -292,27 +312,23 @@ fn identity_rebuild_is_faithful_and_clean() {
 }
 
 /// Every corpus entry is demonstrably triggered on the fork-heavy
-/// histogram arena — all eight `InvariantViolation` variants fire.
+/// histogram arena — all eight `InvariantViolation` variants fire, and
+/// `DepSliceBroken` through both its truncated and inverted branches.
 #[test]
 fn every_violation_variant_is_detected() {
-    for mutation in 0..8 {
+    for mutation in 0..9 {
         assert_detected(0, 11, mutation);
     }
 }
 
-/// Every `workloads::scale` generator is clean, certified for the
-/// parallel drain, and the engine retires at or above the static
-/// critical path at 64, 256 and 1024 cores.
+/// Every `workloads::scale` generator is clean, and the engine retires at
+/// or above the static critical path at 64, 256 and 1024 cores.
 #[test]
 fn scale_generators_are_certified_and_bounded_across_chip_sizes() {
     for which in 0..5 {
         let (name, arena) = base_arena(which, 23);
         let report = check_arena(&arena);
         assert!(report.is_clean(), "{name}: {report}");
-        assert!(
-            matches!(report.drain, DrainSafety::Certified { .. }),
-            "{name}: drain not certified: {report}"
-        );
         let bounds = report.bounds.as_ref().expect("clean arenas are bounded");
         for cores in [64, 256, 1024] {
             let result = ManyCoreSim::new(SimConfig::with_cores(cores).stats_only().validated())
@@ -322,7 +338,7 @@ fn scale_generators_are_certified_and_bounded_across_chip_sizes() {
                 .check
                 .as_ref()
                 .expect("validated run attaches a report");
-            assert!(attached.drain.is_certified(), "{name} at {cores} cores");
+            assert!(attached.is_clean(), "{name} at {cores} cores");
             assert!(
                 result.stats.total_cycles >= bounds.critical_path,
                 "{name} at {cores} cores: {} cycles undercut the critical path {}",
@@ -443,7 +459,7 @@ proptest! {
     fn mutated_arenas_never_pass_validation(
         seed in proptest::strategy::any::<u64>(),
         which in 0usize..5,
-        mutation in 0usize..8,
+        mutation in 0usize..9,
     ) {
         let (name, src) = base_arena(which, seed);
         prop_assert!(check_arena(&src).is_clean(), "{}: base arena dirty", name);
