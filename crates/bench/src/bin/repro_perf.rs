@@ -379,14 +379,14 @@ fn measure(cell: &Cell) -> Row {
     let event = cell.sim.simulate_arena(&cell.trace).expect("simulates");
     let reference = cell
         .sim
-        .simulate_arena_reference(&cell.trace)
+        .simulate_arena_reference(&cell.trace, &mut NoopProbe)
         .expect("reference simulates");
     let mut event_ms = f64::INFINITY;
     let mut reference_ms = f64::INFINITY;
     for _ in 0..RUNS {
         let (_, ms) = timed(|| {
             cell.sim
-                .simulate_arena_reference(&cell.trace)
+                .simulate_arena_reference(&cell.trace, &mut NoopProbe)
                 .expect("reference simulates")
         });
         reference_ms = reference_ms.min(ms);

@@ -11,16 +11,24 @@
 //!
 //! The main entry points are:
 //!
-//! * [`SectionedTrace`] — splits the dynamic trace of a fork program into
-//!   the paper's totally-ordered sections and resolves every
-//!   producer→consumer pair (register *and* memory renaming);
+//! * the arena pipeline — [`TraceArena::from_program`] runs the program
+//!   once, streaming every retired instruction into the
+//!   [`StreamingSectioner`], which splits the run into the paper's
+//!   totally-ordered sections and resolves every producer→consumer pair
+//!   (register *and* memory renaming) into flat [`TraceArena`] columns;
 //! * [`ManyCoreSim`] — the timing model: sections are placed on cores, each
 //!   core fetches one instruction per cycle along its current section and
 //!   computes control instead of predicting it, remote operands are
 //!   obtained through renaming requests travelling over the NoC, and each
 //!   section retires in order. The result is a per-instruction, per-stage
 //!   cycle table — the reproduction of the paper's Figure 10 — plus
-//!   aggregate fetch/retire IPC.
+//!   aggregate fetch/retire IPC. It has four entries:
+//!   [`ManyCoreSim::run`] (program in, result out),
+//!   [`ManyCoreSim::simulate_arena`] and
+//!   [`ManyCoreSim::simulate_arena_probed`] (the event-driven engine over
+//!   an arena, without and with a telemetry probe) and
+//!   [`ManyCoreSim::simulate_arena_reference`] (the cycle-stepping
+//!   reference engine, the differential oracle);
 //! * [`analytic`] — the closed-form §5 model of the `sum` example
 //!   (instruction count, fetch time, retirement time).
 //!
@@ -73,7 +81,6 @@ mod drain;
 mod error;
 mod placement;
 mod reference;
-mod rename;
 mod sched;
 mod section;
 mod sim;
@@ -82,8 +89,7 @@ mod timing;
 pub use config::SimConfig;
 pub use error::SimError;
 pub use placement::{ChainAffine, ChipView, LoadAware, Placement, PlacementPolicy, SectionDeps};
-pub use rename::{verify_single_assignment, MemoryAliasTable, RegisterAliasTable, RenameTag};
-pub use section::{InstRecord, SectionId, SectionSpan, SectionedTrace, SourceDep, SourceKind};
+pub use section::{SectionId, SectionSpan, SectionedTrace, SourceDep, SourceKind};
 pub use sim::{ManyCoreSim, SimResult};
 pub use timing::{format_figure10, InstTiming, SimStats};
 // The static-analysis vocabulary of `parsecs-check`; re-exported so

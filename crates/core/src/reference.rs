@@ -41,19 +41,15 @@ pub(crate) fn simulate<P: SimProbe>(
     arena: &TraceArena,
     probe: &mut P,
 ) -> Result<SimResult, SimError> {
-    let config = sim.config();
-    config.validate().map_err(SimError::Config)?;
-    let mut check = sim.precheck(arena)?;
-    let sections = arena.sections();
-    let n = arena.len();
-
-    let prepared = sim.prepare(arena)?;
-    sim.attach_verdicts(arena, check.as_deref_mut(), &prepared.core_of);
     let Prepared {
         core_of,
         mut network,
         created_by,
-    } = prepared;
+        check,
+    } = sim.prepare(arena)?;
+    let config = sim.config();
+    let sections = arena.sections();
+    let n = arena.len();
     let mut resolver = Resolver::new(config, arena, n);
     let mut chip = ChipState::new(config.cores, sections.len());
     let mut stalls = StallTable::new(sections.len());

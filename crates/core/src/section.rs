@@ -1,4 +1,5 @@
-//! Section splitting and dependence resolution.
+//! The retained two-pass sequential analysis — the oracle the streaming
+//! sectioner is checked against.
 //!
 //! A *section* (§4.1 of the paper) is a run of dynamically contiguous
 //! instructions: it starts when a `fork` creates it and ends at the first
@@ -7,12 +8,20 @@
 //! its own forks. Sections are **totally ordered**; concatenating them in
 //! that order rebuilds the sequential trace of the run, which is what lets
 //! renaming match every consumer with the closest preceding producer.
+//!
+//! Production code builds the sectioned trace in one pass
+//! ([`TraceArena::from_program`]). [`SectionedTrace`] keeps the original
+//! algorithm — materialise the whole trace, find the section boundaries,
+//! then resolve every source against a hashed last-writer map — as an
+//! independent implementation: the workspace differential compares its
+//! [`SectionedTrace::to_arena`] with the streaming arena column for
+//! column, and the benchmarks time it as the front-end baseline.
 
 use std::collections::HashMap;
 
 use parsecs_isa::Program;
 use parsecs_machine::{Location, Machine, MachineError, Trace, TraceKind};
-use parsecs_trace::{PackedDep, TraceArena};
+use parsecs_trace::TraceArena;
 
 // The section and dependence vocabulary moved to `parsecs-trace` (the
 // streaming pipeline produces it, this crate consumes it); re-exported
@@ -20,45 +29,22 @@ use parsecs_trace::{PackedDep, TraceArena};
 pub use parsecs_trace::{SectionId, SectionSpan, SourceDep, SourceKind};
 
 /// One dynamic instruction annotated with its section and dependences.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InstRecord {
-    /// Position in the sequential trace (and in the concatenated section
-    /// order — they are the same).
-    pub seq: usize,
-    /// Static instruction index.
-    pub ip: usize,
-    /// Mnemonic, for display.
-    pub mnemonic: &'static str,
-    /// The section this instruction belongs to.
-    pub section: SectionId,
-    /// Position within the section (0-based; the paper writes `s-i` with
-    /// `i` 1-based).
-    pub index_in_section: usize,
-    /// Kind (fork, endfork, call, ret, halt or other).
-    pub kind: TraceKind,
-    /// Whether this is a control-flow instruction.
-    pub is_control: bool,
+#[derive(Debug, Clone)]
+struct InstRecord {
+    ip: usize,
+    mnemonic: &'static str,
+    section: SectionId,
+    kind: TraceKind,
+    is_control: bool,
     /// Register and flags sources, needed when the instruction executes.
-    pub reg_sources: Vec<SourceDep>,
+    reg_sources: Vec<SourceDep>,
     /// Memory-word sources, needed at the memory-access stage.
-    pub mem_sources: Vec<SourceDep>,
-    /// Locations written.
-    pub writes: Vec<Location>,
-    /// Whether the instruction loads from data memory.
-    pub is_load: bool,
-    /// Whether the instruction stores to data memory.
-    pub is_store: bool,
-}
-
-impl InstRecord {
-    /// The paper's `s-i` name of the instruction (1-based), e.g. `"2-13"`.
-    pub fn name(&self) -> String {
-        format!("{}-{}", self.section.0 + 1, self.index_in_section + 1)
-    }
+    mem_sources: Vec<SourceDep>,
+    writes: Vec<Location>,
 }
 
 /// The sectioned, dependence-annotated trace of one program run.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct SectionedTrace {
     records: Vec<InstRecord>,
     sections: Vec<SectionSpan>,
@@ -151,7 +137,6 @@ impl SectionedTrace {
                 break;
             }
             let section = section_of[i];
-            let span = &sections[section.0];
             let mut reg_sources = Vec::new();
             let mut mem_sources = Vec::new();
             for loc in &event.reads {
@@ -198,18 +183,14 @@ impl SectionedTrace {
                 }
             }
             records.push(InstRecord {
-                seq: i,
                 ip: event.ip,
                 mnemonic: event.mnemonic,
                 section,
-                index_in_section: i - span.start,
                 kind: event.kind,
                 is_control: event.is_control,
                 reg_sources,
                 mem_sources,
                 writes: event.writes.clone(),
-                is_load: event.reads.iter().any(Location::is_mem),
-                is_store: event.writes.iter().any(Location::is_mem),
             });
             for loc in &event.writes {
                 last_writer.insert(*loc, i);
@@ -223,13 +204,9 @@ impl SectionedTrace {
         }
     }
 
-    /// Converts the trace into the flat [`TraceArena`] representation the
-    /// timing engines consume (no re-resolution — the records already
-    /// carry every dependence).
-    ///
-    /// New code should build the arena directly through the streaming
-    /// pipeline ([`TraceArena::from_program`]); this bridge exists so
-    /// callers holding a `SectionedTrace` can still reach the simulator.
+    /// Converts the trace into the flat [`TraceArena`] representation (no
+    /// re-resolution — the records already carry every dependence), the
+    /// form in which it is compared with the streaming pipeline.
     pub fn to_arena(&self) -> TraceArena {
         let mut arena = TraceArena::new();
         for record in &self.records {
@@ -250,301 +227,5 @@ impl SectionedTrace {
         arena.set_outputs(self.outputs.clone());
         arena.shrink_to_fit();
         arena
-    }
-
-    /// Materialises the record-per-instruction view of an arena — the
-    /// inverse of [`SectionedTrace::to_arena`], used by differential tests
-    /// and by consumers of the legacy [`InstRecord`] shape. A *lean*
-    /// arena ([`TraceArena::records_writes`] `false`) yields records with
-    /// empty `writes` — lean arenas exist for simulation, which never
-    /// reads them, not for bridging back to records.
-    pub fn from_arena(arena: &TraceArena) -> SectionedTrace {
-        let records = (0..arena.len())
-            .map(|seq| InstRecord {
-                seq,
-                ip: arena.ip(seq),
-                mnemonic: arena.mnemonic(seq),
-                section: arena.section(seq),
-                index_in_section: arena.index_in_section(seq),
-                kind: arena.kind(seq),
-                is_control: arena.is_control(seq),
-                reg_sources: arena.reg_sources(seq).iter().map(PackedDep::dep).collect(),
-                mem_sources: arena.mem_sources(seq).iter().map(PackedDep::dep).collect(),
-                writes: arena.written(seq).collect(),
-                is_load: arena.is_load(seq),
-                is_store: arena.is_store(seq),
-            })
-            .collect();
-        SectionedTrace {
-            records,
-            sections: arena.sections().to_vec(),
-            outputs: arena.outputs().to_vec(),
-        }
-    }
-
-    /// The dependence-annotated dynamic instructions, in sequential order.
-    pub fn records(&self) -> &[InstRecord] {
-        &self.records
-    }
-
-    /// The sections, in total order.
-    pub fn sections(&self) -> &[SectionSpan] {
-        &self.sections
-    }
-
-    /// The values emitted by `out` during the functional run.
-    pub fn outputs(&self) -> &[u64] {
-        &self.outputs
-    }
-
-    /// Number of dynamic instructions.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether the trace is empty.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// The number of instructions of each section, in total order.
-    pub fn section_sizes(&self) -> Vec<usize> {
-        self.sections.iter().map(SectionSpan::len).collect()
-    }
-
-    /// The records of one section.
-    pub fn section_records(&self, id: SectionId) -> &[InstRecord] {
-        let span = &self.sections[id.0];
-        &self.records[span.start..span.end]
-    }
-
-    /// Size of the largest section.
-    pub fn longest_section(&self) -> usize {
-        self.section_sizes().into_iter().max().unwrap_or(0)
-    }
-}
-
-#[cfg(test)]
-pub(crate) mod tests {
-    use super::*;
-    use parsecs_isa::Reg;
-
-    /// The paper's running example: Figure 5 preceded by a tiny `main`.
-    pub(crate) fn sum_fork_program(data: &[u64]) -> Program {
-        let quads: Vec<String> = data.iter().map(u64::to_string).collect();
-        let src = format!(
-            "t:   .quad {}
-             main: movq $t, %rdi
-                   movq ${}, %rsi
-                   fork sum
-                   out  %rax
-                   halt
-             sum:  cmpq $2, %rsi
-                   ja .L2
-                   movq (%rdi), %rax
-                   jne .L1
-                   addq 8(%rdi), %rax
-             .L1:  endfork
-             .L2:  movq %rsi, %rbx
-                   shrq %rsi
-                   fork sum
-                   subq $8, %rsp
-                   movq %rax, 0(%rsp)
-                   leaq (%rdi,%rsi,8), %rdi
-                   subq %rsi, %rbx
-                   movq %rbx, %rsi
-                   fork sum
-                   addq 0(%rsp), %rax
-                   addq $8, %rsp
-                   endfork",
-            quads.join(", "),
-            data.len(),
-        );
-        parsecs_asm::assemble(&src).expect("sum program assembles")
-    }
-
-    fn sectioned(data: &[u64]) -> SectionedTrace {
-        SectionedTrace::from_program(&sum_fork_program(data), 1_000_000).expect("runs")
-    }
-
-    #[test]
-    fn sum_of_five_has_the_papers_sections() {
-        // Figure 4 / Figure 6: five sections of 11, 16, 12, 3 and 3
-        // instructions. Our initial section additionally carries the 3
-        // `main` instructions before the first fork, and the continuation
-        // of `main` (out, halt) forms a final 2-instruction section.
-        let st = sectioned(&[4, 2, 6, 4, 5]);
-        assert_eq!(st.outputs(), &[21]);
-        assert_eq!(st.sections().len(), 6);
-        assert_eq!(st.section_sizes(), vec![3 + 11, 16, 12, 3, 3, 2]);
-        assert_eq!(st.len(), 45 + 5);
-        assert_eq!(st.longest_section(), 16);
-        // The first section starts at `main`, is not created by anyone.
-        assert_eq!(st.sections()[0].creator, None);
-        // Section 2 (paper numbering) is created by the first `fork` of the
-        // initial section.
-        let (creator, fork_seq) = st.sections()[1].creator.unwrap();
-        assert_eq!(creator, SectionId(0));
-        assert_eq!(st.records()[fork_seq].kind, TraceKind::Fork);
-        // Sections are contiguous and ordered.
-        for w in st.sections().windows(2) {
-            assert_eq!(w[0].end, w[1].start);
-        }
-    }
-
-    #[test]
-    fn creator_always_precedes_created_section() {
-        let st = sectioned(&[1, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
-        for span in st.sections() {
-            if let Some((creator, fork_seq)) = span.creator {
-                assert!(creator < span.id, "{creator:?} must precede {:?}", span.id);
-                assert!(fork_seq < span.start);
-            }
-        }
-    }
-
-    #[test]
-    fn every_instruction_belongs_to_exactly_one_section() {
-        let st = sectioned(&[3, 1, 4, 1, 5, 9, 2, 6]);
-        let total: usize = st.section_sizes().iter().sum();
-        assert_eq!(total, st.len());
-        for record in st.records() {
-            let span = &st.sections()[record.section.0];
-            assert!(record.seq >= span.start && record.seq < span.end);
-            assert_eq!(record.index_in_section, record.seq - span.start);
-        }
-    }
-
-    #[test]
-    fn rax_of_the_resume_comes_from_the_preceding_section() {
-        // Instruction 2-2 of Figure 6 (movq %rax, 0(%rsp)) consumes the rax
-        // produced by the last instruction of the recursive descent hosted
-        // in section 1 — the canonical remote renaming example of §4.2.
-        let st = sectioned(&[4, 2, 6, 4, 5]);
-        let section2 = st.section_records(SectionId(1));
-        let store = &section2[1];
-        assert_eq!(store.mnemonic, "movq");
-        assert!(store.is_store);
-        let rax = store
-            .reg_sources
-            .iter()
-            .find(|d| d.location == Location::Reg(Reg::Rax))
-            .expect("reads %rax");
-        match rax.kind {
-            SourceKind::Remote {
-                producer_section, ..
-            } => {
-                assert_eq!(producer_section, SectionId(0));
-            }
-            other => panic!("expected a remote source, found {other:?}"),
-        }
-        // Its %rsp comes from the `subq $8, %rsp` just before it (2-1),
-        // i.e. a local renaming hit.
-        let rsp = store
-            .reg_sources
-            .iter()
-            .find(|d| d.location == Location::Reg(Reg::Rsp))
-            .expect("reads %rsp for the address");
-        assert!(matches!(rsp.kind, SourceKind::Local { .. }));
-        // The array pointer %rdi used by 2-3 (leaq) was written by `main`
-        // before the creating fork, so it arrives with the section-creation
-        // message: the fork copy.
-        let lea = &section2[2];
-        assert_eq!(lea.mnemonic, "leaq");
-        let rdi = lea
-            .reg_sources
-            .iter()
-            .find(|d| d.location == Location::Reg(Reg::Rdi))
-            .expect("reads %rdi");
-        assert_eq!(rdi.kind, SourceKind::ForkCopy);
-    }
-
-    #[test]
-    fn final_sum_reads_memory_written_by_an_earlier_section() {
-        // Instruction 5-1 of Figure 6 (addq 0(%rsp), %rax) reads the stack
-        // word written by instruction 2-2: memory renaming across sections.
-        let st = sectioned(&[4, 2, 6, 4, 5]);
-        let section5 = st.section_records(SectionId(4));
-        let add = &section5[0];
-        assert_eq!(add.mnemonic, "addq");
-        assert!(add.is_load);
-        let mem = &add.mem_sources[0];
-        match mem.kind {
-            SourceKind::Remote {
-                producer_section,
-                producer,
-            } => {
-                assert_eq!(producer_section, SectionId(1));
-                assert_eq!(st.records()[producer].mnemonic, "movq");
-            }
-            other => panic!("expected a remote memory source, found {other:?}"),
-        }
-    }
-
-    #[test]
-    fn array_loads_come_from_the_loader() {
-        let st = sectioned(&[4, 2, 6, 4, 5]);
-        // The first load of t[0] has no in-program producer: it is served
-        // by the loader / data memory hierarchy.
-        let load = st
-            .records()
-            .iter()
-            .find(|r| r.is_load && !r.mem_sources.is_empty())
-            .expect("some load exists");
-        assert!(matches!(
-            load.mem_sources[0].kind,
-            SourceKind::InitialMemory | SourceKind::Remote { .. }
-        ));
-        let initial_loads = st
-            .records()
-            .iter()
-            .flat_map(|r| r.mem_sources.iter())
-            .filter(|d| d.kind == SourceKind::InitialMemory)
-            .count();
-        assert_eq!(
-            initial_loads, 5,
-            "each of the five array elements is loaded once"
-        );
-    }
-
-    #[test]
-    fn call_based_program_is_a_single_section() {
-        let program = parsecs_asm::assemble(
-            "main: movq $3, %rdi
-                   call f
-                   out %rax
-                   halt
-             f:    movq %rdi, %rax
-                   imulq %rdi, %rax
-                   ret",
-        )
-        .unwrap();
-        let st = SectionedTrace::from_program(&program, 1_000).unwrap();
-        assert_eq!(st.sections().len(), 1);
-        assert_eq!(st.outputs(), &[9]);
-        assert_eq!(st.section_sizes(), vec![7]);
-    }
-
-    #[test]
-    fn paper_instruction_names() {
-        let st = sectioned(&[4, 2, 6, 4, 5]);
-        assert_eq!(st.records()[0].name(), "1-1");
-        let last = st.records().last().unwrap();
-        assert_eq!(last.name(), format!("{}-{}", st.sections().len(), 2));
-    }
-
-    #[test]
-    fn scaling_matches_the_papers_formula() {
-        // §5: for 5·2^n elements the fork run executes 45·2^n + 14·(2^n−1)
-        // instructions (excluding our 5-instruction main/out/halt wrapper:
-        // 3 before the first fork, 2 in the final section).
-        for n in 0..4u32 {
-            let elements = 5 * (1usize << n);
-            let data: Vec<u64> = (0..elements as u64).collect();
-            let st = sectioned(&data);
-            let expected = 45 * (1u64 << n) + 14 * ((1u64 << n) - 1);
-            assert_eq!(st.len() as u64, expected + 5, "for {elements} elements");
-            assert_eq!(st.outputs(), &[data.iter().sum::<u64>()]);
-        }
     }
 }

@@ -2,8 +2,10 @@
 //!
 //! The simulator models the paper's execution as two coupled layers:
 //!
-//! 1. a *functional* layer — [`SectionedTrace`] runs the program, splits it
-//!    into sections and resolves every producer/consumer pair; and
+//! 1. a *functional* layer — the streaming pipeline
+//!    ([`TraceArena::from_program`]) runs the program, splits it into
+//!    sections and resolves every producer/consumer pair into the arena
+//!    both engines consume; and
 //! 2. a *timing* layer — this crate places sections on cores and advances
 //!    the chip: every core fetches one instruction per cycle along its
 //!    current section (computing control in the fetch stage rather than
@@ -49,10 +51,10 @@
 //! remains only as a deadlock *detector*.
 //!
 //! The original cycle-stepping loop is retained in
-//! [`ManyCoreSim::simulate_reference`] and the two implementations are
-//! held bit-identical by differential tests (every [`SimResult`] field,
-//! including the per-instruction stage table and all statistics, must
-//! match exactly).
+//! [`ManyCoreSim::simulate_arena_reference`] and the two implementations
+//! are held bit-identical by differential tests (every [`SimResult`]
+//! field, including the per-instruction stage table and all statistics,
+//! must match exactly).
 //!
 //! The output is a per-instruction, per-stage cycle table (Figure 10 of the
 //! paper) plus aggregate fetch/retire IPC (§5).
@@ -68,7 +70,7 @@ use parsecs_trace::{SourceKind, TraceArena};
 use crate::chip::{ChipState, NO_SECTION, NO_STALL};
 use crate::drain::{Resolver, INCOMPLETE, UNKNOWN};
 use crate::sched::{walk, Scheduler, WalkCtx};
-use crate::{InstTiming, SectionId, SectionSpan, SectionedTrace, SimConfig, SimError, SimStats};
+use crate::{InstTiming, SectionId, SectionSpan, SimConfig, SimError, SimStats};
 
 pub(crate) use crate::chip::StallTable;
 
@@ -164,12 +166,14 @@ pub struct ManyCoreSim {
 }
 
 /// Everything both engines derive from the configuration before timing
-/// starts: the section placement, the freshly created NoC and the
-/// fork-site → created-section map.
+/// starts: the section placement, the freshly created NoC, the
+/// fork-site → created-section map and, on validated runs, the static
+/// analysis report.
 pub(crate) struct Prepared {
     pub(crate) core_of: Vec<CoreId>,
     pub(crate) network: Network<SectionId>,
     pub(crate) created_by: HashMap<usize, SectionId>,
+    pub(crate) check: Option<Box<CheckReport>>,
 }
 
 /// Classifies what a stalled control instruction is waiting on, for the
@@ -216,92 +220,13 @@ impl ManyCoreSim {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Config`] for an invalid configuration and
-    /// [`SimError::Machine`] if the functional pre-execution fails.
+    /// Returns [`SimError::Config`] for an invalid configuration (checked
+    /// before the pre-execution) and [`SimError::Machine`] if the
+    /// functional pre-execution fails.
     pub fn run(&self, program: &Program) -> Result<SimResult, SimError> {
-        self.run_probed(program, &mut NoopProbe)
-    }
-
-    /// Like [`ManyCoreSim::run`], with a telemetry probe observing the
-    /// timing run (see [`ManyCoreSim::simulate_arena_probed`] for the
-    /// zero-cost contract). The functional pre-execution is not probed —
-    /// probes observe the timing model only.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ManyCoreSim::run`].
-    pub fn run_probed<P: SimProbe>(
-        &self,
-        program: &Program,
-        probe: &mut P,
-    ) -> Result<SimResult, SimError> {
         self.config.validate().map_err(SimError::Config)?;
         let arena = TraceArena::from_program(program, self.config.fuel)?;
-        self.simulate_arena_probed(&arena, probe)
-    }
-
-    /// Like [`ManyCoreSim::run`], but timed by the retained cycle-stepping
-    /// reference loop instead of the event-driven engine. The two produce
-    /// bit-identical [`SimResult`]s; the reference exists as the oracle
-    /// for differential tests and benchmarks.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ManyCoreSim::run`].
-    pub fn run_reference(&self, program: &Program) -> Result<SimResult, SimError> {
-        self.config.validate().map_err(SimError::Config)?;
-        let arena = TraceArena::from_program(program, self.config.fuel)?;
-        self.simulate_arena_reference(&arena)
-    }
-
-    /// Simulates an already-sectioned trace with the cycle-stepping
-    /// reference loop. Compatibility shim: converts to the arena
-    /// representation first; hot callers should hold a [`TraceArena`] and
-    /// use [`ManyCoreSim::simulate_arena_reference`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Config`] for an invalid configuration.
-    pub fn simulate_reference(&self, trace: &SectionedTrace) -> Result<SimResult, SimError> {
-        self.simulate_arena_reference(&trace.to_arena())
-    }
-
-    /// Simulates an already-sectioned trace with the event-driven engine.
-    /// Compatibility shim: converts to the arena representation first;
-    /// hot callers should hold a [`TraceArena`] and use
-    /// [`ManyCoreSim::simulate_arena`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Config`] for an invalid configuration.
-    pub fn simulate(&self, trace: &SectionedTrace) -> Result<SimResult, SimError> {
-        self.simulate_arena(&trace.to_arena())
-    }
-
-    /// Simulates an arena-backed trace with the cycle-stepping reference
-    /// loop (see [`ManyCoreSim::run_reference`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Config`] for an invalid configuration.
-    pub fn simulate_arena_reference(&self, arena: &TraceArena) -> Result<SimResult, SimError> {
-        self.simulate_arena_reference_probed(arena, &mut NoopProbe)
-    }
-
-    /// Like [`ManyCoreSim::simulate_arena_reference`], with a telemetry
-    /// probe observing the run (see
-    /// [`ManyCoreSim::simulate_arena_probed`] for the zero-cost
-    /// contract).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Config`] for an invalid configuration.
-    pub fn simulate_arena_reference_probed<P: SimProbe>(
-        &self,
-        arena: &TraceArena,
-        probe: &mut P,
-    ) -> Result<SimResult, SimError> {
-        crate::reference::simulate(self, arena, probe)
+        self.simulate_arena(&arena)
     }
 
     /// Simulates an arena-backed trace with the event-driven engine.
@@ -311,6 +236,24 @@ impl ManyCoreSim {
     /// Returns [`SimError::Config`] for an invalid configuration.
     pub fn simulate_arena(&self, arena: &TraceArena) -> Result<SimResult, SimError> {
         self.simulate_arena_probed(arena, &mut NoopProbe)
+    }
+
+    /// Simulates an arena-backed trace with the retained cycle-stepping
+    /// reference loop, observed by `probe` (pass `&mut NoopProbe` for
+    /// none; see [`ManyCoreSim::simulate_arena_probed`] for the zero-cost
+    /// contract). The two engines produce bit-identical [`SimResult`]s;
+    /// the reference exists as the oracle for differential tests and
+    /// benchmarks.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::Config`] for an invalid configuration.
+    pub fn simulate_arena_reference<P: SimProbe>(
+        &self,
+        arena: &TraceArena,
+        probe: &mut P,
+    ) -> Result<SimResult, SimError> {
+        crate::reference::simulate(self, arena, probe)
     }
 
     /// Like [`ManyCoreSim::simulate_arena`], with a telemetry probe
@@ -334,51 +277,15 @@ impl ManyCoreSim {
         arena: &TraceArena,
         probe: &mut P,
     ) -> Result<SimResult, SimError> {
-        self.config.validate().map_err(SimError::Config)?;
-        let mut check = self.precheck(arena)?;
-        let prepared = self.prepare(arena)?;
-        self.attach_verdicts(arena, check.as_deref_mut(), &prepared.core_of);
-        self.run_event(arena, prepared, check, probe)
-    }
-
-    /// Attaches the configuration-aware verdicts to a validated run's
-    /// report, once the placement is known: the progress proof for this
-    /// (placement × chip) cell and the NoC/placement-weighted schedule
-    /// bounds.
-    pub(crate) fn attach_verdicts(
-        &self,
-        arena: &TraceArena,
-        check: Option<&mut CheckReport>,
-        core_of: &[CoreId],
-    ) {
-        if let Some(report) = check {
-            let hosts: Vec<usize> = core_of.iter().map(|c| c.0).collect();
-            report.progress = Some(prove_progress(
-                arena,
-                &hosts,
-                self.config.cores,
-                self.config.max_sections_per_core,
-            ));
-            report.schedule = Some(bound_schedule(arena, &hosts, &self.config.chip_model()));
-        }
-    }
-
-    /// The event-driven engine's main loop (see the module docs).
-    fn run_event<P: SimProbe>(
-        &self,
-        arena: &TraceArena,
-        prepared: Prepared,
-        check: Option<Box<CheckReport>>,
-        probe: &mut P,
-    ) -> Result<SimResult, SimError> {
-        let sections = arena.sections();
-        let n = arena.len();
-
+        // The event-driven engine's main loop (see the module docs).
         let Prepared {
             core_of,
             mut network,
             created_by,
-        } = prepared;
+            check,
+        } = self.prepare(arena)?;
+        let sections = arena.sections();
+        let n = arena.len();
         let mut resolver = Resolver::new(&self.config, arena, n);
 
         let mut chip = ChipState::new(self.config.cores, sections.len());
@@ -607,34 +514,41 @@ impl ManyCoreSim {
         )
     }
 
-    /// Runs the static analysis of `parsecs-check` over the arena when
-    /// [`SimConfig::validate`] is on: a structurally invalid arena is
-    /// rejected as [`SimError::Invariant`]; a clean report is returned
-    /// for attachment to [`SimResult::check`]. A single branch (and no
-    /// work at all) when validation is off.
-    pub(crate) fn precheck(
-        &self,
-        arena: &TraceArena,
-    ) -> Result<Option<Box<CheckReport>>, SimError> {
-        if !self.config.validate {
-            return Ok(None);
-        }
-        let report = parsecs_check::check_arena(arena);
-        if !report.is_clean() {
-            return Err(SimError::Invariant(Box::new(report)));
-        }
-        Ok(Some(Box::new(report)))
-    }
-
-    /// Validates the placement and builds the shared pre-timing state.
+    /// The prologue both engines share: validates the configuration;
+    /// when [`SimConfig::validate`] is on, runs the static analysis of
+    /// `parsecs-check` over the arena (a structurally invalid arena is
+    /// rejected as [`SimError::Invariant`], a clean report is kept for
+    /// [`SimResult::check`]); places the sections; attaches the
+    /// configuration-aware verdicts (the progress proof for this
+    /// placement × chip cell and the NoC/placement-weighted schedule
+    /// bounds) to the report; and builds the NoC and the fork-site map.
+    /// With validation off, the analysis costs a single branch.
     pub(crate) fn prepare(&self, arena: &TraceArena) -> Result<Prepared, SimError> {
-        let sections = arena.sections();
+        self.config.validate().map_err(SimError::Config)?;
+        let mut check = None;
+        if self.config.validate {
+            let report = parsecs_check::check_arena(arena);
+            if !report.is_clean() {
+                return Err(SimError::Invariant(Box::new(report)));
+            }
+            check = Some(Box::new(report));
+        }
         let core_of = self.place(arena)?;
-        let topology = self.config.effective_topology();
-        let network: Network<SectionId> = Network::new(topology, self.config.noc);
+        if let Some(report) = check.as_deref_mut() {
+            let hosts: Vec<usize> = core_of.iter().map(|c| c.0).collect();
+            report.progress = Some(prove_progress(
+                arena,
+                &hosts,
+                self.config.cores,
+                self.config.max_sections_per_core,
+            ));
+            report.schedule = Some(bound_schedule(arena, &hosts, &self.config.chip_model()));
+        }
+        let network = Network::new(self.config.effective_topology(), self.config.noc);
 
         // Which section does each dynamic fork create?
-        let created_by: HashMap<usize, SectionId> = sections
+        let created_by: HashMap<usize, SectionId> = arena
+            .sections()
             .iter()
             .filter_map(|s| s.creator.map(|(_, fork_seq)| (fork_seq, s.id)))
             .collect();
@@ -643,6 +557,7 @@ impl ManyCoreSim {
             core_of,
             network,
             created_by,
+            check,
         })
     }
 
@@ -842,12 +757,56 @@ impl ManyCoreSim {
 mod tests {
     use super::*;
     use crate::format_figure10;
-    use crate::section::tests::sum_fork_program;
     use parsecs_machine::TraceKind;
+
+    /// The paper's running example: Figure 5 preceded by a tiny `main`.
+    fn sum_fork_program(data: &[u64]) -> Program {
+        let quads: Vec<String> = data.iter().map(u64::to_string).collect();
+        let src = format!(
+            "t:   .quad {}
+             main: movq $t, %rdi
+                   movq ${}, %rsi
+                   fork sum
+                   out  %rax
+                   halt
+             sum:  cmpq $2, %rsi
+                   ja .L2
+                   movq (%rdi), %rax
+                   jne .L1
+                   addq 8(%rdi), %rax
+             .L1:  endfork
+             .L2:  movq %rsi, %rbx
+                   shrq %rsi
+                   fork sum
+                   subq $8, %rsp
+                   movq %rax, 0(%rsp)
+                   leaq (%rdi,%rsi,8), %rdi
+                   subq %rsi, %rbx
+                   movq %rbx, %rsi
+                   fork sum
+                   addq 0(%rsp), %rax
+                   addq $8, %rsp
+                   endfork",
+            quads.join(", "),
+            data.len(),
+        );
+        parsecs_asm::assemble(&src).expect("sum program assembles")
+    }
 
     fn sim_sum(data: &[u64], config: SimConfig) -> SimResult {
         let program = sum_fork_program(data);
         ManyCoreSim::new(config).run(&program).expect("simulates")
+    }
+
+    /// Simulates `program` on both engines over one streaming arena:
+    /// `(event-driven, reference)`.
+    fn both_engines(sim: &ManyCoreSim, program: &Program) -> (SimResult, SimResult) {
+        let arena = TraceArena::from_program(program, sim.config().fuel).expect("halts");
+        let event = sim.simulate_arena(&arena).expect("event engine simulates");
+        let reference = sim
+            .simulate_arena_reference(&arena, &mut NoopProbe)
+            .expect("reference engine simulates");
+        (event, reference)
     }
 
     #[test]
@@ -878,8 +837,7 @@ mod tests {
     fn validated_runs_attach_identical_reports_on_both_engines() {
         let program = sum_fork_program(&[4, 2, 6, 4, 5]);
         let sim = ManyCoreSim::new(SimConfig::with_cores(8).validated());
-        let validated = sim.run(&program).expect("simulates");
-        let reference = sim.run_reference(&program).expect("simulates");
+        let (validated, reference) = both_engines(&sim, &program);
         assert_eq!(validated, reference);
         let report = validated.check.as_ref().expect("validated run");
         assert!(report.is_clean());
@@ -998,10 +956,7 @@ mod tests {
             let full_sim = ManyCoreSim::new(SimConfig::with_cores(cores));
             let stats_sim = ManyCoreSim::new(SimConfig::with_cores(cores).stats_only());
             let full = full_sim.run(&program).expect("full-mode simulates");
-            let stats = stats_sim.run(&program).expect("stats-only simulates");
-            let stats_reference = stats_sim
-                .run_reference(&program)
-                .expect("stats-only reference simulates");
+            let (stats, stats_reference) = both_engines(&stats_sim, &program);
             assert_eq!(stats, stats_reference, "engines diverge stats-only");
             assert_eq!(
                 stats.stats, full.stats,
@@ -1030,14 +985,14 @@ mod tests {
         assert_eq!(
             full,
             full_sim
-                .simulate_arena_reference(&empty)
+                .simulate_arena_reference(&empty, &mut NoopProbe)
                 .expect("simulates")
         );
         let stats = stats_sim.simulate_arena(&empty).expect("simulates");
         assert_eq!(
             stats,
             stats_sim
-                .simulate_arena_reference(&empty)
+                .simulate_arena_reference(&empty, &mut NoopProbe)
                 .expect("simulates")
         );
         assert_eq!(full.stats, stats.stats);
@@ -1278,8 +1233,7 @@ t3:     movq $w, %rcx
         configs.push(slow);
         for config in configs {
             let sim = ManyCoreSim::new(config);
-            let event = sim.run(&program).expect("simulates");
-            let reference = sim.run_reference(&program).expect("reference simulates");
+            let (event, reference) = both_engines(&sim, &program);
             assert_eq!(event, reference, "{:?}", sim.config());
             // 0+1+5 = 6 and 0+3+1+7 = 11.
             assert_eq!(event.outputs, vec![17], "{:?}", sim.config());
@@ -1307,8 +1261,7 @@ t3:     movq $w, %rcx
                 SimConfig::with_cores(cores).with_placement(crate::LoadAware),
             ] {
                 let sim = ManyCoreSim::new(placement_config);
-                let event = sim.run(&program).expect("event-driven simulates");
-                let reference = sim.run_reference(&program).expect("reference simulates");
+                let (event, reference) = both_engines(&sim, &program);
                 assert_eq!(
                     event,
                     reference,
@@ -1342,8 +1295,7 @@ t3:     movq $w, %rcx
         configs.push(no_stall);
         for config in configs {
             let sim = ManyCoreSim::new(config);
-            let event = sim.run(&program).expect("event-driven simulates");
-            let reference = sim.run_reference(&program).expect("reference simulates");
+            let (event, reference) = both_engines(&sim, &program);
             assert_eq!(event, reference, "{:?}", sim.config());
         }
     }

@@ -1,6 +1,6 @@
 //! The [`ExecutionBackend`] trait and its three engine implementations.
 
-use parsecs_core::{ManyCoreSim, SimConfig, SimProbe};
+use parsecs_core::{ManyCoreSim, NoopProbe, SimConfig, SimError, SimProbe, TraceArena};
 use parsecs_ilp::{analyze, IlpModel};
 use parsecs_isa::Program;
 use parsecs_machine::Machine;
@@ -173,40 +173,28 @@ impl ManyCoreBackend {
         self
     }
 
-    /// Like [`ExecutionBackend::execute`], with a telemetry probe
-    /// observing the timing run (see
-    /// [`parsecs_core::ManyCoreSim::simulate_arena_probed`]). Probes are
-    /// monomorphized into the engine — [`parsecs_core::SimProbe`] is not
-    /// object-safe — so this lives on the concrete backend rather than
-    /// the trait; the produced [`RunReport`] is bit-identical to the
-    /// unprobed one.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ExecutionBackend::execute`].
-    pub fn execute_probed<P: SimProbe>(
-        &self,
-        program: &Program,
-        probe: &mut P,
-    ) -> Result<RunReport, DriverError> {
-        self.execute_probed_fueled(program, self.config.fuel, probe)
-    }
-
-    /// [`ManyCoreBackend::execute_probed`] with an explicit fuel
-    /// overriding the configuration's.
+    /// Executes `program` with an explicit `fuel` (overriding the
+    /// configuration's) and a telemetry probe observing the timing run
+    /// (see [`parsecs_core::ManyCoreSim::simulate_arena_probed`]; pass
+    /// `&mut NoopProbe` for none). Probes are monomorphized into the
+    /// engine — [`parsecs_core::SimProbe`] is not object-safe — so this
+    /// lives on the concrete backend rather than the trait; the produced
+    /// [`RunReport`] is bit-identical to the unprobed one.
     ///
     /// # Errors
     ///
     /// Same as [`ExecutionBackend::execute_fueled`].
-    pub fn execute_probed_fueled<P: SimProbe>(
+    pub fn execute_probed<P: SimProbe>(
         &self,
         program: &Program,
         fuel: u64,
         probe: &mut P,
     ) -> Result<RunReport, DriverError> {
-        let mut config = self.config.clone();
-        config.fuel = fuel;
-        let result = ManyCoreSim::new(config).run_probed(program, probe)?;
+        // The configuration is checked before the functional
+        // pre-execution, as `ManyCoreSim::run` does.
+        self.config.validate().map_err(SimError::Config)?;
+        let arena = TraceArena::from_program(program, fuel).map_err(SimError::from)?;
+        let result = ManyCoreSim::new(self.config.clone()).simulate_arena_probed(&arena, probe)?;
         self.report(result)
     }
 
@@ -299,10 +287,7 @@ impl ExecutionBackend for ManyCoreBackend {
 
     /// The explicit `fuel` overrides the configuration's `fuel` field.
     fn execute_fueled(&self, program: &Program, fuel: u64) -> Result<RunReport, DriverError> {
-        let mut config = self.config.clone();
-        config.fuel = fuel;
-        let result = ManyCoreSim::new(config).run(program)?;
-        self.report(result)
+        self.execute_probed(program, fuel, &mut NoopProbe)
     }
 }
 

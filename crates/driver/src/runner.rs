@@ -108,10 +108,8 @@ impl<'p> Runner<'p> {
                 self.backends.len()
             )));
         }
-        match self.fuel {
-            Some(fuel) => backend.execute_probed_fueled(self.program, fuel, probe),
-            None => backend.execute_probed(self.program, probe),
-        }
+        let fuel = self.fuel.unwrap_or(backend.config().fuel);
+        backend.execute_probed(self.program, fuel, probe)
     }
 
     /// Runs on every configured backend, in order, failing fast.

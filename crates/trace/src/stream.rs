@@ -4,10 +4,10 @@
 //! each retired instruction into it, and the sink splits the run into
 //! sections, renames every destination and resolves every source to its
 //! producer **on the fly**, appending straight into a [`TraceArena`]. The
-//! result is identical, record for record, to running the machine to
+//! result is identical, column for column, to running the machine to
 //! completion and post-processing the materialised trace with the
-//! sequential analysis (`SectionedTrace::from_trace` in `parsecs-core`) —
-//! a property held by a differential proptest — but the pipeline never
+//! retained two-pass sequential analysis in `parsecs-core` — a property
+//! held by a differential proptest — but the pipeline never
 //! builds the event vector, never allocates per instruction, and looks
 //! registers up in a flat array instead of hashing `Location` keys.
 

@@ -3,7 +3,7 @@
 //! Rust oracles.
 
 use parsecs::cc::Backend;
-use parsecs::core::{verify_single_assignment, SectionedTrace};
+use parsecs::core::{check_arena, TraceArena};
 use parsecs::driver::{ManyCoreBackend, Runner, SequentialBackend};
 use parsecs::workloads::pbbs::Benchmark;
 
@@ -83,7 +83,12 @@ fn renaming_is_single_assignment_for_fork_compiled_programs() {
     let program = Benchmark::ComparisonSort
         .program(20, 1, Backend::Forks)
         .unwrap();
-    let trace = SectionedTrace::from_program(&program, 10_000_000).unwrap();
-    let renamed = verify_single_assignment(&trace);
-    assert!(renamed > 0);
+    // The writer-discipline replay re-runs the paper's renaming over the
+    // arena: every source must name the closest preceding writer of its
+    // location, under the single-assignment (#section, #instruction) tags.
+    let arena = TraceArena::from_program(&program, 10_000_000).unwrap();
+    assert!(arena.sections().len() > 1);
+    let report = check_arena(&arena);
+    assert!(report.is_clean(), "{report}");
+    assert!(report.writer_discipline_checked);
 }

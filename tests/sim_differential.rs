@@ -1,7 +1,8 @@
 //! Property-based differential test of the two simulator engines.
 //!
-//! The event-driven scheduler ([`ManyCoreSim::simulate`]) and the retained
-//! cycle-stepping reference ([`ManyCoreSim::simulate_reference`]) must
+//! The event-driven scheduler ([`ManyCoreSim::simulate_arena`]) and the
+//! retained cycle-stepping reference
+//! ([`ManyCoreSim::simulate_arena_reference`]) must
 //! produce **bit-identical** [`parsecs::core::SimResult`]s — the same
 //! per-instruction stage table, statistics and NoC counters — on every
 //! program and every configuration. This test generates random small fork
@@ -11,7 +12,9 @@
 //! timing, ejection bandwidth, section capacity, renaming-walk and DMH
 //! charges, fetch-stall mode) and asserts full equality.
 
-use parsecs::core::{ChainAffine, CountingProbe, LoadAware, ManyCoreSim, Placement, SimConfig};
+use parsecs::core::{
+    ChainAffine, CountingProbe, LoadAware, ManyCoreSim, NoopProbe, Placement, SimConfig, TraceArena,
+};
 use parsecs::noc::{NocConfig, Topology};
 use proptest::prelude::*;
 
@@ -198,12 +201,14 @@ proptest! {
         // Every run is validated: the static analysis must pass on every
         // generated trace, and both engines must retire at or above the
         // analyzer's configuration-independent critical path.
+        let arena = TraceArena::from_program(&program, SimConfig::default().fuel)
+            .expect("generated programs halt");
         for _ in 0..3 {
             let config = random_config(&mut gen).validated();
             let sim = ManyCoreSim::new(config);
             let event = sim.run(&program).expect("event-driven engine simulates");
             let reference = sim
-                .run_reference(&program)
+                .simulate_arena_reference(&arena, &mut NoopProbe)
                 .expect("reference engine simulates");
             prop_assert_eq!(
                 &event,
@@ -220,7 +225,7 @@ proptest! {
             // the event engine skips quiet cycles).
             let mut counting = CountingProbe::default();
             let probed = sim
-                .run_probed(&program, &mut counting)
+                .simulate_arena_probed(&arena, &mut counting)
                 .expect("probed event engine simulates");
             prop_assert_eq!(
                 &probed,
@@ -230,11 +235,9 @@ proptest! {
                 sim.config()
             );
             prop_assert!(counting.events() > 0, "seed {}: the probe observed nothing", seed);
-            let arena = parsecs::core::TraceArena::from_program(&program, sim.config().fuel)
-                .expect("generated programs halt");
             let mut ref_counting = CountingProbe::default();
             let probed_reference = sim
-                .simulate_arena_reference_probed(&arena, &mut ref_counting)
+                .simulate_arena_reference(&arena, &mut ref_counting)
                 .expect("probed reference engine simulates");
             prop_assert_eq!(
                 &probed_reference,
@@ -336,7 +339,7 @@ proptest! {
             let stats_sim = ManyCoreSim::new(sim.config().clone().stats_only());
             let stats = stats_sim.run(&program).expect("stats-only simulates");
             let stats_reference = stats_sim
-                .run_reference(&program)
+                .simulate_arena_reference(&arena, &mut NoopProbe)
                 .expect("stats-only reference simulates");
             prop_assert_eq!(
                 &stats,
@@ -427,12 +430,14 @@ proptest! {
     fn fork_heavy_writer_chains_never_force_releases(seed in proptest::strategy::any::<u64>()) {
         let program = histogram_family_program(seed);
         let mut gen = Gen::new(seed.rotate_left(29) ^ 0x1234);
+        let arena = TraceArena::from_program(&program, SimConfig::default().fuel)
+            .expect("generated programs halt");
         for _ in 0..2 {
             let config = random_config(&mut gen).validated();
             let sim = ManyCoreSim::new(config);
             let event = sim.run(&program).expect("event-driven engine simulates");
             let reference = sim
-                .run_reference(&program)
+                .simulate_arena_reference(&arena, &mut NoopProbe)
                 .expect("reference engine simulates");
             prop_assert_eq!(
                 &event,
@@ -461,7 +466,9 @@ proptest! {
             );
             prop_assert_eq!(
                 &stats,
-                &stats_sim.run_reference(&program).expect("stats-only reference"),
+                &stats_sim
+                    .simulate_arena_reference(&arena, &mut NoopProbe)
+                    .expect("stats-only reference"),
                 "seed {} under {:?}: engines diverge stats-only",
                 seed,
                 stats_sim.config()

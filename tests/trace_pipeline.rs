@@ -1,21 +1,21 @@
 //! Differential tests of the streaming trace pipeline.
 //!
 //! The streaming sectioner (`parsecs::trace::StreamingSectioner`, fed by
-//! `Machine::run_with_sink`) must produce **record-for-record** the same
+//! `Machine::run_with_sink`) must produce **column-for-column** the same
 //! sectioned, dependence-annotated trace as the retained two-pass
 //! sequential analysis (`SectionedTrace::from_trace` over a materialised
 //! `Trace`) — same sections, same provenance for every source, same
 //! written locations, same outputs. A proptest drives random fork
 //! programs (random arithmetic, scratch-array memory traffic, forward
 //! conditional jumps, nested forks) through both front-ends and asserts
-//! full equality in both representations.
+//! full equality of the two arenas.
 //!
 //! A second set of tests takes the pipeline to chip scale: at 256 cores
 //! the event-driven and cycle-stepping engines must agree bit-for-bit on
 //! arena-backed runs, and the driver's backends must agree with the
 //! sequential machine on what the program computes.
 
-use parsecs::core::{ManyCoreSim, SectionedTrace, SimConfig, TraceArena};
+use parsecs::core::{ManyCoreSim, NoopProbe, SectionedTrace, SimConfig, TraceArena};
 use parsecs::driver::{ManyCoreBackend, Runner, SequentialBackend};
 use parsecs::machine::Machine;
 use parsecs::workloads::data::{self, Rng};
@@ -147,7 +147,7 @@ fn random_program(seed: u64) -> parsecs::isa::Program {
 
 proptest! {
     /// The tentpole contract of the pipeline: streaming sectioning is
-    /// indistinguishable, record for record, from materialising the
+    /// indistinguishable, column for column, from materialising the
     /// trace and post-processing it.
     #[test]
     fn streaming_sectioner_matches_the_sequential_analysis(seed in proptest::strategy::any::<u64>()) {
@@ -162,33 +162,26 @@ proptest! {
         // Streaming: the machine pushes into the sectioner, no trace.
         let arena = TraceArena::from_program(&program, fuel).expect("halts");
 
-        // Record-for-record equality in the record representation
-        // (locations, provenance, writes, flags, sections, outputs)...
-        prop_assert_eq!(&SectionedTrace::from_arena(&arena), &legacy, "seed {}", seed);
-        // ...and column-for-column equality in the arena representation.
+        // Column-for-column equality: locations, provenance, writes,
+        // flags, sections and outputs.
         prop_assert_eq!(&legacy.to_arena(), &arena, "seed {}", seed);
     }
 }
 
 proptest! {
-    /// Arena-backed simulation equals record-backed simulation: the
-    /// compatibility shim (`simulate(&SectionedTrace)`) and the direct
-    /// arena path must produce the same `SimResult`, both engines must
-    /// stay bit-identical on the arena path, a stats-only run must
-    /// reproduce the recorded aggregates exactly, and the lean
-    /// (write-free) arena must simulate identically to the full one.
+    /// Arena-backed simulation is consistent across its axes: both
+    /// engines stay bit-identical, a stats-only run reproduces the
+    /// recorded aggregates exactly, and the lean (write-free) arena
+    /// simulates identically to the full one.
     #[test]
     fn arena_and_record_backed_simulation_agree(seed in proptest::strategy::any::<u64>()) {
         let program = random_program(seed.rotate_left(11));
         let arena = TraceArena::from_program(&program, 1_000_000).expect("halts");
-        let legacy = SectionedTrace::from_arena(&arena);
         let mut gen = Gen::new(seed);
         let cores = [1usize, 3, 8, 64][gen.below(4) as usize];
         let sim = ManyCoreSim::new(SimConfig::with_cores(cores));
         let via_arena = sim.simulate_arena(&arena).expect("simulates");
-        let via_records = sim.simulate(&legacy).expect("simulates");
-        prop_assert_eq!(&via_arena, &via_records, "seed {} at {} cores", seed, cores);
-        let reference = sim.simulate_arena_reference(&arena).expect("simulates");
+        let reference = sim.simulate_arena_reference(&arena, &mut NoopProbe).expect("simulates");
         prop_assert_eq!(&via_arena, &reference, "seed {} at {} cores", seed, cores);
 
         // The stats axis: streaming aggregates == post-hoc aggregates.
@@ -198,7 +191,7 @@ proptest! {
         prop_assert!(stats.timings.is_empty(), "seed {}", seed);
         prop_assert_eq!(
             &stats,
-            &stats_sim.simulate_arena_reference(&arena).expect("simulates"),
+            &stats_sim.simulate_arena_reference(&arena, &mut NoopProbe).expect("simulates"),
             "seed {} at {} cores: engines diverge stats-only",
             seed,
             cores
@@ -257,7 +250,9 @@ fn engines_agree_bit_for_bit_at_256_cores() {
     );
     let sim = ManyCoreSim::new(SimConfig::with_cores(256));
     let event = sim.simulate_arena(&arena).expect("simulates");
-    let reference = sim.simulate_arena_reference(&arena).expect("simulates");
+    let reference = sim
+        .simulate_arena_reference(&arena, &mut NoopProbe)
+        .expect("simulates");
     assert_eq!(event, reference, "engines diverge at 256 cores");
     assert_eq!(
         event.outputs,
