@@ -153,50 +153,72 @@ impl PlacementPolicy for Placement {
     }
 
     fn assign(&self, sections: &[SectionSpan], chip: &ChipView) -> Vec<CoreId> {
+        let cores = chip.cores;
+        let mut slots = Slots::new(cores, chip.max_sections_per_core);
         match self {
-            Placement::RoundRobin => {
-                let cores = chip.cores;
-                let capacity = chip.max_sections_per_core;
-                let mut hosted = vec![0usize; cores];
-                sections
-                    .iter()
-                    .map(|s| {
-                        let preferred = s.id.0 % cores;
-                        // Spill to the next core with free capacity; relax
-                        // the limit when the whole chip is full.
-                        let chosen = (0..cores)
-                            .map(|offset| (preferred + offset) % cores)
-                            .find(|c| hosted[*c] < capacity)
-                            .unwrap_or(preferred);
-                        hosted[chosen] += 1;
-                        CoreId(chosen)
-                    })
-                    .collect()
-            }
+            Placement::RoundRobin => sections
+                .iter()
+                .map(|s| {
+                    // Spill to the next core with room; once the chip is
+                    // full every core has room, so `preferred` takes it.
+                    let preferred = s.id.0 % cores;
+                    let chosen = (preferred..cores)
+                        .chain(0..preferred)
+                        .find(|&c| slots.room[c] > 0)
+                        .expect("a core with room");
+                    slots.host(chosen);
+                    CoreId(chosen)
+                })
+                .collect(),
             Placement::LeastLoaded => {
-                let capacity = chip.max_sections_per_core;
-                let mut load = vec![0usize; chip.cores];
-                let mut hosted = vec![0usize; chip.cores];
+                let mut load = vec![0usize; cores];
                 sections
                     .iter()
                     .map(|s| {
-                        // Prefer the least-loaded core that is still below
-                        // the soft section capacity; relax the limit only
-                        // when the whole chip is full, so runs always
-                        // complete (the same rule RoundRobin applies).
-                        let core = (0..chip.cores)
-                            .filter(|c| hosted[*c] < capacity)
-                            .min_by_key(|c| (load[*c], *c))
-                            .unwrap_or_else(|| {
-                                (0..chip.cores)
-                                    .min_by_key(|c| (load[*c], *c))
-                                    .expect("at least one core")
-                            });
+                        // The least-loaded core (the first on ties) below
+                        // the soft section capacity, or of the whole chip
+                        // once it is full (the same rule RoundRobin applies).
+                        let core = (0..cores)
+                            .filter(|&c| slots.room[c] > 0)
+                            .min_by_key(|&c| load[c])
+                            .expect("at least one core");
                         load[core] += s.len();
-                        hosted[core] += 1;
+                        slots.host(core);
                         CoreId(core)
                     })
                     .collect()
+            }
+        }
+    }
+}
+
+/// Free section slots per core under the soft capacity. A full core never
+/// regains room, so the count of `open` cores only falls; when it hits
+/// zero the whole chip is full and the limit is relaxed for good: every
+/// core has room from then on.
+struct Slots {
+    room: Vec<usize>,
+    open: usize,
+}
+
+impl Slots {
+    fn new(cores: usize, limit: usize) -> Slots {
+        let open = if limit == 0 { 0 } else { cores };
+        Slots {
+            room: vec![limit.max(1); cores],
+            open,
+        }
+    }
+
+    /// Records one more section on `core`, which must have room.
+    fn host(&mut self, core: usize) {
+        if self.open > 0 {
+            self.room[core] -= 1;
+            if self.room[core] == 0 {
+                self.open -= 1;
+                if self.open == 0 {
+                    self.room.fill(1);
+                }
             }
         }
     }
@@ -220,52 +242,7 @@ impl PlacementPolicy for LoadAware {
     }
 
     fn assign(&self, sections: &[SectionSpan], chip: &ChipView) -> Vec<CoreId> {
-        let cores = chip.cores;
-        let capacity = chip.max_sections_per_core;
-        // Per-core time at which the core becomes free, per-core hosted
-        // count, and per-section estimated fetch-start time.
-        let mut free_at = vec![0u64; cores];
-        let mut hosted = vec![0usize; cores];
-        let mut start_at: Vec<u64> = Vec::with_capacity(sections.len());
-        let mut core_of: Vec<CoreId> = Vec::with_capacity(sections.len());
-
-        for span in sections {
-            // A section becomes available once its creator has fetched the
-            // fork (sections run concurrently with their creator from that
-            // point on) and the section-creation message has crossed the
-            // NoC to the candidate core.
-            let candidate = |c: usize| -> u64 {
-                let ready = match span.creator {
-                    Some((SectionId(creator), fork_seq)) => {
-                        let fork_offset =
-                            fork_seq.saturating_sub(sections[creator].start) as u64 + 1;
-                        let creator_core = core_of[creator];
-                        start_at[creator] + fork_offset + chip.link_latency(creator_core, CoreId(c))
-                    }
-                    None => 0,
-                };
-                ready.max(free_at[c])
-            };
-            // Prefer cores below the capacity limit; relax when full.
-            let pool: Vec<usize> = {
-                let below: Vec<usize> = (0..cores).filter(|c| hosted[*c] < capacity).collect();
-                if below.is_empty() {
-                    (0..cores).collect()
-                } else {
-                    below
-                }
-            };
-            let chosen = pool
-                .into_iter()
-                .min_by_key(|c| (candidate(*c) + span.len() as u64, *c))
-                .expect("at least one core");
-            let begun = candidate(chosen);
-            free_at[chosen] = begun + span.len() as u64;
-            hosted[chosen] += 1;
-            start_at.push(begun);
-            core_of.push(CoreId(chosen));
-        }
-        core_of
+        earliest_finish(sections, chip, None)
     }
 }
 
@@ -290,7 +267,7 @@ impl PlacementPolicy for ChainAffine {
 
     /// Without dependences the policy degrades to [`LoadAware`].
     fn assign(&self, sections: &[SectionSpan], chip: &ChipView) -> Vec<CoreId> {
-        LoadAware.assign(sections, chip)
+        earliest_finish(sections, chip, None)
     }
 
     fn wants_dependences(&self) -> bool {
@@ -303,66 +280,89 @@ impl PlacementPolicy for ChainAffine {
         chip: &ChipView,
         deps: &SectionDeps,
     ) -> Vec<CoreId> {
-        let cores = chip.cores;
-        let capacity = chip.max_sections_per_core;
-        let mut free_at = vec![0u64; cores];
-        let mut hosted = vec![0usize; cores];
-        let mut start_at: Vec<u64> = Vec::with_capacity(sections.len());
-        let mut core_of: Vec<CoreId> = Vec::with_capacity(sections.len());
-
-        for span in sections {
-            let producers = deps.producers(span.id);
-            // Estimated fetch-start time on candidate core `c` (the
-            // LoadAware model: creator's fork, the creation message's NoC
-            // crossing, and the core's queue).
-            let start_on = |c: usize| -> u64 {
-                let ready = match span.creator {
-                    Some((SectionId(creator), fork_seq)) => {
-                        let fork_offset =
-                            fork_seq.saturating_sub(sections[creator].start) as u64 + 1;
-                        let creator_core = core_of[creator];
-                        start_at[creator] + fork_offset + chip.link_latency(creator_core, CoreId(c))
-                    }
-                    None => 0,
-                };
-                ready.max(free_at[c])
-            };
-            // The selection score adds the renaming round trips charged
-            // from `c` to every remote producer's host core.
-            let candidate = |c: usize| -> u64 {
-                let comm: u64 = producers
-                    .iter()
-                    .map(|&(p, w)| 2 * w as u64 * chip.link_latency(core_of[p.0], CoreId(c)))
-                    .sum();
-                start_on(c) + comm
-            };
-            let pool: Vec<usize> = {
-                let below: Vec<usize> = (0..cores).filter(|c| hosted[*c] < capacity).collect();
-                if below.is_empty() {
-                    (0..cores).collect()
-                } else {
-                    below
-                }
-            };
-            let chosen = pool
-                .into_iter()
-                .min_by_key(|c| (candidate(*c) + span.len() as u64, *c))
-                .expect("at least one core");
-            // The queueing estimate excludes the communication charge:
-            // the core is busy for the section's fetch span only.
-            let begun = start_on(chosen);
-            free_at[chosen] = begun + span.len() as u64;
-            hosted[chosen] += 1;
-            start_at.push(begun);
-            core_of.push(CoreId(chosen));
-        }
-        core_of
+        earliest_finish(sections, chip, Some(deps))
     }
+}
+
+/// The earliest-finish kernel behind [`LoadAware`] (`deps` is `None`) and
+/// [`ChainAffine`]: each section goes to the eligible core minimising its
+/// estimated start plus its length, plus, with `deps`, the round trips
+/// from that core to every remote producer's host. The queueing estimate
+/// excludes that communication charge: a core is busy for the section's
+/// fetch span only.
+fn earliest_finish(
+    sections: &[SectionSpan],
+    chip: &ChipView,
+    deps: Option<&SectionDeps>,
+) -> Vec<CoreId> {
+    let (cores, topology) = (chip.cores, chip.topology);
+    let (base, per_hop) = (chip.noc.base_latency, chip.noc.per_hop_latency);
+    let mut slots = Slots::new(cores, chip.max_sections_per_core);
+    // When each core becomes free, and each section's estimated start.
+    let mut free_at = vec![0u64; cores];
+    let mut start_at: Vec<u64> = Vec::with_capacity(sections.len());
+    let mut core_of: Vec<CoreId> = Vec::with_capacity(sections.len());
+    // Hop rows from the creator's and a producer's core; the per-core
+    // communication charge stays zero without `deps`.
+    let mut creator_hops = vec![0u64; cores];
+    let mut producer_hops = vec![0u64; cores];
+    let mut comm = vec![0u64; cores];
+
+    for span in sections {
+        let len = span.len() as u64;
+        // The section becomes available on core `c` at `sent + slope *
+        // creator_hops[c]`: once its creator has fetched the fork and the
+        // creation message has crossed the NoC to `c`.
+        let (sent, slope) = match span.creator {
+            Some((SectionId(creator), fork_seq)) => {
+                let fork_offset = fork_seq.saturating_sub(sections[creator].start) as u64 + 1;
+                topology.hops_from(core_of[creator], &mut creator_hops);
+                (start_at[creator] + fork_offset + base, per_hop)
+            }
+            None => (0, 0),
+        };
+        if let Some(deps) = deps {
+            comm.fill(0);
+            for &(producer, weight) in deps.producers(span.id) {
+                topology.hops_from(core_of[producer.0], &mut producer_hops);
+                for (charge, hops) in comm.iter_mut().zip(&producer_hops) {
+                    *charge += 2 * weight as u64 * (base + per_hop * hops);
+                }
+            }
+        }
+        // (score, core, start) of the best core with room; scanning down
+        // with `<=` leaves ties at the lowest core id.
+        let mut best = (u64::MAX, usize::MAX, 0);
+        let rows = slots
+            .room
+            .iter()
+            .zip(&creator_hops)
+            .zip(&free_at)
+            .zip(&comm);
+        for (c, (((&room, &hops), &free), &charge)) in rows.enumerate().rev() {
+            if room == 0 {
+                continue;
+            }
+            let start = (sent + slope * hops).max(free);
+            let score = start + charge + len;
+            if score <= best.0 {
+                best = (score, c, start);
+            }
+        }
+        let (_, chosen, begun) = best;
+        free_at[chosen] = begun + len;
+        slots.host(chosen);
+        start_at.push(begun);
+        core_of.push(CoreId(chosen));
+    }
+    core_of
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
 
     fn chip(cores: usize) -> ChipView {
         ChipView {
@@ -412,10 +412,8 @@ mod tests {
         c.max_sections_per_core = 1;
         let assigned = Placement::RoundRobin.assign(&spans(&[1, 1, 1]), &c);
         // Two sections fit; the third relaxes the limit at its preferred
-        // core rather than failing.
-        assert_eq!(assigned[0], CoreId(0));
-        assert_eq!(assigned[1], CoreId(1));
-        assert!(assigned[2].0 < 2);
+        // core (2 mod 2) rather than failing.
+        assert_eq!(assigned, vec![CoreId(0), CoreId(1), CoreId(0)]);
     }
 
     #[test]
@@ -552,6 +550,72 @@ mod tests {
         );
     }
 
+    proptest! {
+        #[test]
+        fn single_pass_policies_match_the_full_chip_scans(
+            cores in 1usize..71,
+            capacity in prop_oneof![Just(0usize), Just(1), Just(2), Just(3), Just(8)],
+            latency in (0u64..4, 0u64..4),
+            seed in any::<u64>(),
+        ) {
+            let mut rng = TestRng::deterministic(&seed.to_string());
+            // Up to four times the chip's slots, so most chips fill and
+            // relax the capacity limit part-way through (a zero limit is
+            // relaxed from the start).
+            let count = 1 + rng.index(4 * cores * capacity.max(1));
+            let sizes: Vec<usize> = (0..count).map(|_| 1 + rng.index(12)).collect();
+            let mut sections = spans(&sizes);
+            for i in 1..count {
+                // Backward creators forking inside their own span; now
+                // and then a section with no creator at all.
+                sections[i].creator = (rng.index(8) != 0).then(|| {
+                    let creator = &sections[rng.index(i)];
+                    (creator.id, creator.start + rng.index(creator.len()))
+                });
+            }
+            let mut remote = Vec::new();
+            for consumer in 1..count {
+                for _ in 0..rng.index(3) {
+                    remote.push((consumer, rng.index(consumer)));
+                }
+            }
+            let deps = SectionDeps::from_arena(count, &arena(&sizes, &remote));
+            let width = 1 + rng.index(cores);
+            let topologies = [
+                Topology::crossbar(cores + rng.index(3)),
+                Topology::ring(cores + rng.index(3)),
+                Topology::mesh(width, cores.div_ceil(width) + rng.index(2)),
+            ];
+            for topology in topologies {
+                let chip = ChipView {
+                    cores,
+                    max_sections_per_core: capacity,
+                    topology,
+                    noc: NocConfig {
+                        base_latency: latency.0,
+                        per_hop_latency: latency.1,
+                        link_bandwidth: None,
+                    },
+                };
+                prop_assert_eq!(
+                    Placement::RoundRobin.assign(&sections, &chip),
+                    oracle::round_robin(&sections, &chip)
+                );
+                prop_assert_eq!(
+                    Placement::LeastLoaded.assign(&sections, &chip),
+                    oracle::least_loaded(&sections, &chip)
+                );
+                let load_aware = oracle::load_aware(&sections, &chip);
+                prop_assert_eq!(LoadAware.assign(&sections, &chip), load_aware.clone());
+                prop_assert_eq!(ChainAffine.assign(&sections, &chip), load_aware);
+                prop_assert_eq!(
+                    ChainAffine.assign_with_deps(&sections, &chip, &deps),
+                    oracle::chain_affine(&sections, &chip, &deps)
+                );
+            }
+        }
+    }
+
     #[test]
     fn chain_affine_without_deps_degrades_to_load_aware() {
         let sections = spans(&[100, 2, 2, 2]);
@@ -561,5 +625,169 @@ mod tests {
         );
         assert!(ChainAffine.wants_dependences());
         assert!(!LoadAware.wants_dependences());
+    }
+}
+
+/// Each built-in policy's rule in its direct form, rescanning the whole
+/// chip for every section: the oracle the built-in policies must match
+/// assignment for assignment.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+
+    pub fn round_robin(sections: &[SectionSpan], chip: &ChipView) -> Vec<CoreId> {
+        let cores = chip.cores;
+        let capacity = chip.max_sections_per_core;
+        let mut hosted = vec![0usize; cores];
+        sections
+            .iter()
+            .map(|s| {
+                let preferred = s.id.0 % cores;
+                // Spill to the next core with free capacity; relax
+                // the limit when the whole chip is full.
+                let chosen = (0..cores)
+                    .map(|offset| (preferred + offset) % cores)
+                    .find(|c| hosted[*c] < capacity)
+                    .unwrap_or(preferred);
+                hosted[chosen] += 1;
+                CoreId(chosen)
+            })
+            .collect()
+    }
+
+    pub fn least_loaded(sections: &[SectionSpan], chip: &ChipView) -> Vec<CoreId> {
+        let capacity = chip.max_sections_per_core;
+        let mut load = vec![0usize; chip.cores];
+        let mut hosted = vec![0usize; chip.cores];
+        sections
+            .iter()
+            .map(|s| {
+                // Prefer the least-loaded core that is still below
+                // the soft section capacity; relax the limit only
+                // when the whole chip is full, so runs always
+                // complete (the same rule RoundRobin applies).
+                let core = (0..chip.cores)
+                    .filter(|c| hosted[*c] < capacity)
+                    .min_by_key(|c| (load[*c], *c))
+                    .unwrap_or_else(|| {
+                        (0..chip.cores)
+                            .min_by_key(|c| (load[*c], *c))
+                            .expect("at least one core")
+                    });
+                load[core] += s.len();
+                hosted[core] += 1;
+                CoreId(core)
+            })
+            .collect()
+    }
+
+    pub fn load_aware(sections: &[SectionSpan], chip: &ChipView) -> Vec<CoreId> {
+        let cores = chip.cores;
+        let capacity = chip.max_sections_per_core;
+        // Per-core time at which the core becomes free, per-core hosted
+        // count, and per-section estimated fetch-start time.
+        let mut free_at = vec![0u64; cores];
+        let mut hosted = vec![0usize; cores];
+        let mut start_at: Vec<u64> = Vec::with_capacity(sections.len());
+        let mut core_of: Vec<CoreId> = Vec::with_capacity(sections.len());
+
+        for span in sections {
+            // A section becomes available once its creator has fetched the
+            // fork (sections run concurrently with their creator from that
+            // point on) and the section-creation message has crossed the
+            // NoC to the candidate core.
+            let candidate = |c: usize| -> u64 {
+                let ready = match span.creator {
+                    Some((SectionId(creator), fork_seq)) => {
+                        let fork_offset =
+                            fork_seq.saturating_sub(sections[creator].start) as u64 + 1;
+                        let creator_core = core_of[creator];
+                        start_at[creator] + fork_offset + chip.link_latency(creator_core, CoreId(c))
+                    }
+                    None => 0,
+                };
+                ready.max(free_at[c])
+            };
+            // Prefer cores below the capacity limit; relax when full.
+            let pool: Vec<usize> = {
+                let below: Vec<usize> = (0..cores).filter(|c| hosted[*c] < capacity).collect();
+                if below.is_empty() {
+                    (0..cores).collect()
+                } else {
+                    below
+                }
+            };
+            let chosen = pool
+                .into_iter()
+                .min_by_key(|c| (candidate(*c) + span.len() as u64, *c))
+                .expect("at least one core");
+            let begun = candidate(chosen);
+            free_at[chosen] = begun + span.len() as u64;
+            hosted[chosen] += 1;
+            start_at.push(begun);
+            core_of.push(CoreId(chosen));
+        }
+        core_of
+    }
+
+    pub fn chain_affine(
+        sections: &[SectionSpan],
+        chip: &ChipView,
+        deps: &SectionDeps,
+    ) -> Vec<CoreId> {
+        let cores = chip.cores;
+        let capacity = chip.max_sections_per_core;
+        let mut free_at = vec![0u64; cores];
+        let mut hosted = vec![0usize; cores];
+        let mut start_at: Vec<u64> = Vec::with_capacity(sections.len());
+        let mut core_of: Vec<CoreId> = Vec::with_capacity(sections.len());
+
+        for span in sections {
+            let producers = deps.producers(span.id);
+            // Estimated fetch-start time on candidate core `c` (the
+            // LoadAware model: creator's fork, the creation message's NoC
+            // crossing, and the core's queue).
+            let start_on = |c: usize| -> u64 {
+                let ready = match span.creator {
+                    Some((SectionId(creator), fork_seq)) => {
+                        let fork_offset =
+                            fork_seq.saturating_sub(sections[creator].start) as u64 + 1;
+                        let creator_core = core_of[creator];
+                        start_at[creator] + fork_offset + chip.link_latency(creator_core, CoreId(c))
+                    }
+                    None => 0,
+                };
+                ready.max(free_at[c])
+            };
+            // The selection score adds the renaming round trips charged
+            // from `c` to every remote producer's host core.
+            let candidate = |c: usize| -> u64 {
+                let comm: u64 = producers
+                    .iter()
+                    .map(|&(p, w)| 2 * w as u64 * chip.link_latency(core_of[p.0], CoreId(c)))
+                    .sum();
+                start_on(c) + comm
+            };
+            let pool: Vec<usize> = {
+                let below: Vec<usize> = (0..cores).filter(|c| hosted[*c] < capacity).collect();
+                if below.is_empty() {
+                    (0..cores).collect()
+                } else {
+                    below
+                }
+            };
+            let chosen = pool
+                .into_iter()
+                .min_by_key(|c| (candidate(*c) + span.len() as u64, *c))
+                .expect("at least one core");
+            // The queueing estimate excludes the communication charge:
+            // the core is busy for the section's fetch span only.
+            let begun = start_on(chosen);
+            free_at[chosen] = begun + span.len() as u64;
+            hosted[chosen] += 1;
+            start_at.push(begun);
+            core_of.push(CoreId(chosen));
+        }
+        core_of
     }
 }

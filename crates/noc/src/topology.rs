@@ -86,6 +86,36 @@ impl Topology {
         }
     }
 
+    /// Fills `row[c]` with [`Topology::hops`]`(from, CoreId(c))` for every
+    /// `c < row.len()` (which must not exceed [`Topology::num_cores`]).
+    /// The topology is matched once per row rather than once per pair, so
+    /// a placement scoring every candidate core pays one tight loop.
+    pub fn hops_from(&self, from: CoreId, row: &mut [u64]) {
+        match *self {
+            Topology::Mesh { width, .. } => {
+                let (fx, fy) = self.coordinates(from);
+                for (y, line) in row.chunks_mut(width.max(1)).enumerate() {
+                    let dy = y.abs_diff(fy);
+                    for (x, hops) in line.iter_mut().enumerate() {
+                        *hops = (x.abs_diff(fx) + dy) as u64;
+                    }
+                }
+            }
+            Topology::Ring { size } => {
+                for (c, hops) in row.iter_mut().enumerate() {
+                    let d = c.abs_diff(from.0);
+                    *hops = d.min(size - d) as u64;
+                }
+            }
+            Topology::Crossbar { .. } => {
+                row.fill(1);
+                if let Some(own) = row.get_mut(from.0) {
+                    *own = 0;
+                }
+            }
+        }
+    }
+
     /// Whether `core` is a valid identifier for this topology.
     pub fn contains(&self, core: CoreId) -> bool {
         core.0 < self.num_cores()
@@ -160,6 +190,23 @@ mod tests {
             prop_assert_eq!(t.hops(a, b), t.hops(b, a));
             prop_assert_eq!(t.hops(a, a), 0);
             prop_assert!(t.hops(a, c) <= t.hops(a, b) + t.hops(b, c));
+        }
+
+        #[test]
+        fn hops_from_fills_the_hops_row(kind in 0usize..3, w in 1usize..9, h in 1usize..9) {
+            let t = [Topology::mesh(w, h), Topology::ring(w * h), Topology::crossbar(w * h)][kind];
+            let n = t.num_cores();
+            let mut row = vec![u64::MAX; n];
+            for from in t.cores() {
+                t.hops_from(from, &mut row);
+                for to in t.cores() {
+                    prop_assert_eq!(row[to.0], t.hops(from, to) as u64);
+                }
+                // A row shorter than the chip covers a prefix of it.
+                let mut prefix = vec![u64::MAX; n / 2];
+                t.hops_from(from, &mut prefix);
+                prop_assert_eq!(&prefix[..], &row[..n / 2]);
+            }
         }
     }
 }
