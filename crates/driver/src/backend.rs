@@ -1,11 +1,11 @@
 //! The [`ExecutionBackend`] trait and its three engine implementations.
 
-use parsecs_core::{ManyCoreSim, NoopProbe, SimConfig, SimError, SimProbe, TraceArena};
+use parsecs_core::{ManyCoreSim, NoopProbe, SimConfig, SimError, SimProbe};
 use parsecs_ilp::{analyze, IlpModel};
 use parsecs_isa::Program;
 use parsecs_machine::Machine;
 
-use crate::{DriverError, ReportDetail, RunReport};
+use crate::{DriverError, FrontEnd, ReportDetail, RunReport};
 
 /// Fuel used when the caller does not specify one: matches the many-core
 /// simulator's default functional pre-execution budget.
@@ -18,6 +18,12 @@ pub const DEFAULT_FUEL: u64 = 50_000_000;
 /// Backends are stateless with respect to programs — `execute` borrows the
 /// backend immutably — and `Send + Sync`, so one backend can serve many
 /// programs from many threads (the property [`crate::Sweep`] relies on).
+///
+/// [`crate::Runner`] and [`crate::Sweep`] run every backend through
+/// [`ExecutionBackend::execute_in`], handing all the backends that run one
+/// program the same [`FrontEnd`]: a backend that consumes the program's
+/// sectioned trace takes the share's arena, so the trace is built once per
+/// program and fuel budget rather than once per backend.
 pub trait ExecutionBackend: Send + Sync {
     /// A short, stable name identifying the backend and its configuration
     /// (used in reports and sweep labels).
@@ -41,10 +47,32 @@ pub trait ExecutionBackend: Send + Sync {
     fn execute(&self, program: &Program) -> Result<RunReport, DriverError> {
         self.execute_fueled(program, DEFAULT_FUEL)
     }
+
+    /// Executes the program of `front` with an explicit `fuel`, or with
+    /// the backend's own default budget when `None`. The result equals
+    /// [`ExecutionBackend::execute_fueled`] (or
+    /// [`ExecutionBackend::execute`]) on that program; the share only
+    /// saves work. The default forwards to those two and ignores the
+    /// share, which suits backends that need no sectioned trace.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`ExecutionBackend::execute_fueled`].
+    fn execute_in(
+        &self,
+        front: &FrontEnd<'_>,
+        fuel: Option<u64>,
+    ) -> Result<RunReport, DriverError> {
+        match fuel {
+            Some(fuel) => self.execute_fueled(front.program(), fuel),
+            None => self.execute(front.program()),
+        }
+    }
 }
 
-/// Boxed backends execute by delegation, so `Runner`/`Sweep` can hold
-/// heterogeneous backend lists.
+/// Boxed backends execute by delegation — every method, so a boxed
+/// backend keeps its own default fuel and its share of the front-end —
+/// and `Runner`/`Sweep` can hold heterogeneous backend lists.
 impl ExecutionBackend for Box<dyn ExecutionBackend> {
     fn name(&self) -> String {
         self.as_ref().name()
@@ -52,6 +80,18 @@ impl ExecutionBackend for Box<dyn ExecutionBackend> {
 
     fn execute_fueled(&self, program: &Program, fuel: u64) -> Result<RunReport, DriverError> {
         self.as_ref().execute_fueled(program, fuel)
+    }
+
+    fn execute(&self, program: &Program) -> Result<RunReport, DriverError> {
+        self.as_ref().execute(program)
+    }
+
+    fn execute_in(
+        &self,
+        front: &FrontEnd<'_>,
+        fuel: Option<u64>,
+    ) -> Result<RunReport, DriverError> {
+        self.as_ref().execute_in(front, fuel)
     }
 }
 
@@ -190,10 +230,22 @@ impl ManyCoreBackend {
         fuel: u64,
         probe: &mut P,
     ) -> Result<RunReport, DriverError> {
+        self.run_in(&FrontEnd::new(program), fuel, probe)
+    }
+
+    /// The one many-core path: simulates the arena `front` holds (or
+    /// builds) for `fuel`.
+    fn run_in<P: SimProbe>(
+        &self,
+        front: &FrontEnd<'_>,
+        fuel: u64,
+        probe: &mut P,
+    ) -> Result<RunReport, DriverError> {
         // The configuration is checked before the functional
-        // pre-execution, as `ManyCoreSim::run` does.
+        // pre-execution, as `ManyCoreSim::run` does, so an invalid chip
+        // never triggers an arena build.
         self.config.validate().map_err(SimError::Config)?;
-        let arena = TraceArena::from_program(program, fuel).map_err(SimError::from)?;
+        let arena = front.arena(fuel).map_err(SimError::from)?;
         let result = ManyCoreSim::new(self.config.clone()).simulate_arena_probed(&arena, probe)?;
         self.report(result)
     }
@@ -288,6 +340,16 @@ impl ExecutionBackend for ManyCoreBackend {
     /// The explicit `fuel` overrides the configuration's `fuel` field.
     fn execute_fueled(&self, program: &Program, fuel: u64) -> Result<RunReport, DriverError> {
         self.execute_probed(program, fuel, &mut NoopProbe)
+    }
+
+    /// Simulates the share's arena for the fuel budget (`fuel`, else the
+    /// configuration's), building it only if no earlier backend did.
+    fn execute_in(
+        &self,
+        front: &FrontEnd<'_>,
+        fuel: Option<u64>,
+    ) -> Result<RunReport, DriverError> {
+        self.run_in(front, fuel.unwrap_or(self.config.fuel), &mut NoopProbe)
     }
 }
 

@@ -14,7 +14,19 @@
 //!   backends;
 //! * [`Sweep`] — a design-space sweep fanning programs across backend
 //!   configurations on a thread pool, with JSON emission
-//!   ([`sweep_to_json`]) for benchmark artefacts.
+//!   ([`sweep_to_json`]) for benchmark artefacts;
+//! * [`FrontEnd`] — one program's configuration-independent front-end,
+//!   shared by every backend that runs it.
+//!
+//! ## One front-end per program
+//!
+//! The sectioned trace a many-core run simulates depends only on the
+//! program and its fuel, never on the chip. [`Runner`] and [`Sweep`]
+//! therefore build each program's [`parsecs_core::TraceArena`] once per
+//! fuel budget and share it read-only across all of that program's
+//! many-core backends ([`ExecutionBackend::execute_in`]); a sweep frees a
+//! program's arenas as soon as the last cell of its row finishes. A
+//! `dse_sweep`-shaped grid of 3 programs × 6 chips builds 3 arenas, not 18.
 //!
 //! ## Example: one program, all three engines
 //!
@@ -41,12 +53,14 @@
 
 mod backend;
 mod error;
+mod front;
 mod report;
 mod runner;
 mod sweep;
 
 pub use backend::{ExecutionBackend, IlpBackend, ManyCoreBackend, SequentialBackend, DEFAULT_FUEL};
 pub use error::DriverError;
+pub use front::FrontEnd;
 pub use report::{ReportDetail, RunReport};
 pub use runner::Runner;
 pub use sweep::{sweep_to_json, Sweep, SweepPoint};

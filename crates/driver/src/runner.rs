@@ -3,7 +3,7 @@
 use parsecs_core::SimProbe;
 use parsecs_isa::Program;
 
-use crate::{DriverError, ExecutionBackend, ManyCoreBackend, RunReport};
+use crate::{DriverError, ExecutionBackend, FrontEnd, ManyCoreBackend, RunReport};
 
 /// Runs one program on one or more backends, builder style:
 ///
@@ -51,13 +51,6 @@ impl<'p> Runner<'p> {
         self
     }
 
-    fn execute(&self, backend: &dyn ExecutionBackend) -> Result<RunReport, DriverError> {
-        match self.fuel {
-            Some(fuel) => backend.execute_fueled(self.program, fuel),
-            None => backend.execute(self.program),
-        }
-    }
-
     /// Adds a backend to run on.
     pub fn on(mut self, backend: impl ExecutionBackend + 'static) -> Runner<'p> {
         self.backends.push(Box::new(backend));
@@ -72,7 +65,7 @@ impl<'p> Runner<'p> {
     /// otherwise whatever the backend reports.
     pub fn run(self) -> Result<RunReport, DriverError> {
         match self.backends.len() {
-            1 => self.execute(self.backends[0].as_ref()),
+            1 => self.backends[0].execute_in(&FrontEnd::new(self.program), self.fuel),
             0 => Err(DriverError::Config(
                 "Runner::run needs a backend; add one with .on(...)".into(),
             )),
@@ -112,7 +105,9 @@ impl<'p> Runner<'p> {
         backend.execute_probed(self.program, fuel, probe)
     }
 
-    /// Runs on every configured backend, in order, failing fast.
+    /// Runs on every configured backend, in order, failing fast. The
+    /// backends share one [`FrontEnd`], so the program's trace arena is
+    /// built once per fuel budget however many many-core backends run it.
     ///
     /// # Errors
     ///
@@ -124,9 +119,10 @@ impl<'p> Runner<'p> {
                 "Runner::run_all needs at least one backend; add one with .on(...)".into(),
             ));
         }
+        let front = FrontEnd::new(self.program);
         self.backends
             .iter()
-            .map(|backend| self.execute(backend.as_ref()))
+            .map(|backend| backend.execute_in(&front, self.fuel))
             .collect()
     }
 }

@@ -9,7 +9,7 @@ use std::thread;
 
 use parsecs_isa::Program;
 
-use crate::{DriverError, ExecutionBackend, ManyCoreBackend, RunReport};
+use crate::{DriverError, ExecutionBackend, FrontEnd, ManyCoreBackend, RunReport};
 
 /// One cell of a sweep: a `(program, backend)` pair and its outcome.
 #[derive(Debug)]
@@ -103,6 +103,13 @@ fn json_f64(v: f64) -> String {
 /// and returns one [`SweepPoint`] per `(program, backend)` cell in grid
 /// order (programs outermost).
 ///
+/// Each program row shares one [`FrontEnd`]: its trace arena is built
+/// once per fuel budget by the row's first many-core cell, read by the
+/// rest of the row, and freed as soon as the row's last cell finishes.
+/// A grid of 3 programs × 6 many-core chips builds 3 arenas, not 18, and
+/// every point equals the backend's standalone `execute`/`execute_fueled`
+/// result.
+///
 /// ```
 /// use parsecs_driver::{Sweep};
 /// use parsecs_workloads::sum;
@@ -192,7 +199,9 @@ impl Sweep {
     /// the emission front, so a large grid's memory footprint is bounded
     /// by that window instead of the whole result set — a `RunReport` of
     /// the many-core backend carries the full per-instruction stage
-    /// table, so this matters.
+    /// table, so this matters. Arenas are held only for rows with an
+    /// unfinished cell: a row's [`FrontEnd`] lets go of them when its
+    /// last cell finishes.
     ///
     /// Returns the number of cells run.
     pub fn run_with(&self, mut on_point: impl FnMut(SweepPoint)) -> usize {
@@ -210,6 +219,16 @@ impl Sweep {
         // never gated (its cell index equals the front), so the pipeline
         // cannot stall.
         let window = 2 * workers;
+
+        // One front-end per program row, shared by the row's cells, with
+        // the count of the row's unfinished cells.
+        let columns = self.backends.len();
+        let rows: Vec<(FrontEnd<'_>, AtomicUsize)> = self
+            .programs
+            .iter()
+            .map(|(_, program)| (FrontEnd::new(program), AtomicUsize::new(columns)))
+            .collect();
+        let rows = &rows;
 
         let next = AtomicUsize::new(0);
         let next = &next;
@@ -231,14 +250,16 @@ impl Sweep {
                     while cell > emitted.load(Ordering::Acquire) + window {
                         thread::park_timeout(std::time::Duration::from_millis(1));
                     }
-                    let (label, program) = &self.programs[cell / self.backends.len()];
-                    let backend = &self.backends[cell % self.backends.len()];
-                    let outcome = match self.fuel {
-                        Some(fuel) => backend.execute_fueled(program, fuel),
-                        None => backend.execute(program),
-                    };
+                    let row = cell / columns;
+                    let backend = &self.backends[cell % columns];
+                    let (front, unfinished) = &rows[row];
+                    let outcome = backend.execute_in(front, self.fuel);
+                    // The row's last cell to finish frees its arenas.
+                    if unfinished.fetch_sub(1, Ordering::AcqRel) == 1 {
+                        front.release();
+                    }
                     let point = SweepPoint {
-                        program: label.clone(),
+                        program: self.programs[row].0.clone(),
                         backend: backend.name(),
                         outcome,
                     };
