@@ -65,7 +65,7 @@
 use std::io::BufWriter;
 use std::time::Instant;
 
-use parsecs_bench::{json, AttributionTotals};
+use parsecs_bench::{json, AttributionTotals, RunStamp};
 use parsecs_core::{
     ChainAffine, ChromeTraceWriter, CountingProbe, ManyCoreSim, NoopProbe, ScheduleBounds,
     SectionedTrace, SimConfig, TraceArena,
@@ -486,7 +486,7 @@ fn to_json(
     guard: &GuardRow,
     probe: &ProbeRow,
 ) -> String {
-    let mut body: Vec<String> = rows
+    let mut body: Vec<json::Obj> = rows
         .iter()
         .map(|r| {
             let row = json::Obj::new()
@@ -505,7 +505,6 @@ fn to_json(
             r.attr
                 .append_fields(row, r.occupancy)
                 .field("headline", r.headline)
-                .build()
         })
         .collect();
     body.push(
@@ -516,8 +515,7 @@ fn to_json(
             .fixed("legacy_ms", pipeline.legacy_ms, 3)
             .fixed("streaming_ms", pipeline.streaming_ms, 3)
             .fixed("pipeline_speedup", pipeline.speedup, 2)
-            .fixed("arena_bytes_per_insn", pipeline.arena_bytes_per_insn, 1)
-            .build(),
+            .fixed("arena_bytes_per_insn", pipeline.arena_bytes_per_insn, 1),
     );
     body.push(
         json::Obj::new()
@@ -537,8 +535,7 @@ fn to_json(
                 "stats_state_bytes_per_insn",
                 modes.stats_state_bytes_per_insn,
                 1,
-            )
-            .build(),
+            ),
     );
     body.push(
         json::Obj::new()
@@ -552,8 +549,7 @@ fn to_json(
             .field("total_cycles", guard.cycles)
             .field("lb_cycles", guard.schedule.lb)
             .field("predicted_cycles", guard.schedule.predicted_cycles)
-            .fixed("lb_tightness", guard.schedule.tightness(guard.cycles), 4)
-            .build(),
+            .fixed("lb_tightness", guard.schedule.tightness(guard.cycles), 4),
     );
     body.push(
         json::Obj::new()
@@ -564,10 +560,9 @@ fn to_json(
             .fixed("noop_probe_ms", probe.noop_ms, 3)
             .fixed("counting_probe_ms", probe.counting_ms, 3)
             .fixed("counting_overhead", probe.counting_overhead, 3)
-            .field("probe_events", probe.events)
-            .build(),
+            .field("probe_events", probe.events),
     );
-    json::array(body)
+    RunStamp::current().array(body)
 }
 
 fn print_table(rows: &[Row]) {

@@ -60,7 +60,7 @@
 use std::io::BufWriter;
 use std::time::Instant;
 
-use parsecs_bench::{json, AttributionTotals};
+use parsecs_bench::{json, AttributionTotals, RunStamp};
 use parsecs_core::{ChromeTraceWriter, ManyCoreSim, SimConfig, TraceArena};
 use parsecs_driver::DriverError;
 use parsecs_isa::Program;
@@ -240,7 +240,7 @@ fn measure(workload: &Workload, validate: bool) -> Vec<Row> {
 }
 
 fn to_json(rows: &[Row]) -> String {
-    json::array(rows.iter().map(|r| {
+    RunStamp::current().array(rows.iter().map(|r| {
         let row = json::Obj::new()
             .str("workload", &r.workload)
             .str("mode", r.mode)
@@ -262,7 +262,6 @@ fn to_json(rows: &[Row]) -> String {
             .append_fields(row, r.occupancy)
             .field("headline", r.headline)
             .field("headline_100m", r.headline_100m)
-            .build()
     }))
 }
 

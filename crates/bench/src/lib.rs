@@ -14,11 +14,6 @@
 //! | `repro_perf` | event-driven vs cycle-stepping engine wall clock on ≥1M-instruction workloads, plus the streaming-vs-two-pass front-end pipeline comparison; `--json [PATH]` emits `BENCH_sim.json` |
 //! | `repro_scale` | the 256–1024-core, ≥10M-instruction scale table over the streaming arena pipeline; `--json [PATH]` emits `BENCH_scale.json` |
 //!
-//! The benches (`cargo bench -p parsecs-bench`) measure the throughput of
-//! the three engines themselves (reference machine, ILP analyzer,
-//! many-core simulator) so regressions in the reproduction infrastructure
-//! are visible.
-//!
 //! This crate's library exposes the small amount of shared code the
 //! binaries use — dataset sweeps and ILP measurement for a workload,
 //! the [`json`] emission module every `BENCH_*.json` goes through, and
@@ -98,6 +93,77 @@ impl AttributionTotals {
             .field("stall_cycles_by_cause", by_cause)
             .field("parked_cycles", self.parked)
             .field("idle_cycles", self.idle)
+    }
+}
+
+/// Where and how a `BENCH_*.json` file was measured: the host's CPU
+/// count, the build profile and the source commit. Every row of
+/// `BENCH_sim.json` and `BENCH_scale.json` carries these three fields,
+/// appended by [`RunStamp::array`], so a recorded number names the
+/// hardware and the code that produced it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RunStamp {
+    /// CPUs available to this process.
+    pub host_cpus: usize,
+    /// `"release"` or `"debug"`.
+    pub profile: &'static str,
+    /// `git rev-parse --short=12 HEAD` of the source tree, suffixed
+    /// `-dirty` when the workspace sources differ from that commit;
+    /// `"unknown"` outside a git checkout.
+    pub commit: String,
+}
+
+impl RunStamp {
+    /// The stamp of the running binary on this host.
+    pub fn current() -> RunStamp {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let git = |args: &[&str]| {
+            std::process::Command::new("git")
+                .args(args)
+                .current_dir(root)
+                .output()
+                .ok()
+        };
+        let commit = git(&["rev-parse", "--short=12", "HEAD"])
+            .filter(|out| out.status.success())
+            .and_then(|out| String::from_utf8(out.stdout).ok())
+            .map_or_else(
+                || "unknown".to_string(),
+                |hash| {
+                    let sources = [
+                        "diff",
+                        "--quiet",
+                        "HEAD",
+                        "--",
+                        "crates",
+                        "src",
+                        "Cargo.toml",
+                        "Cargo.lock",
+                    ];
+                    let dirty = git(&sources).is_some_and(|out| out.status.code() == Some(1));
+                    format!("{}{}", hash.trim(), if dirty { "-dirty" } else { "" })
+                },
+            );
+        RunStamp {
+            host_cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            profile: if cfg!(debug_assertions) {
+                "debug"
+            } else {
+                "release"
+            },
+            commit,
+        }
+    }
+
+    /// Appends the three stamp fields to each row and renders the rows
+    /// as a bench file ([`json::array`]).
+    pub fn array(&self, rows: impl IntoIterator<Item = json::Obj>) -> String {
+        json::array(rows.into_iter().map(|row| {
+            row.field("host_cpus", self.host_cpus)
+                .str("profile", self.profile)
+                .str("commit", &self.commit)
+                .build()
+        }))
     }
 }
 
@@ -233,6 +299,27 @@ fn pearson(a: &[f64], b: &[f64]) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn run_stamp_closes_every_row_with_the_three_fields() {
+        let stamp = RunStamp {
+            host_cpus: 2,
+            profile: "release",
+            commit: "abc123".into(),
+        };
+        let doc = stamp.array([
+            json::Obj::new().field("a", 1),
+            json::Obj::new().str("b", "x"),
+        ]);
+        assert_eq!(
+            doc,
+            "[\n  {\"a\": 1, \"host_cpus\": 2, \"profile\": \"release\", \"commit\": \"abc123\"},\n  \
+             {\"b\": \"x\", \"host_cpus\": 2, \"profile\": \"release\", \"commit\": \"abc123\"}\n]\n"
+        );
+        let current = RunStamp::current();
+        assert!(current.host_cpus >= 1);
+        assert!(!current.commit.is_empty());
+    }
 
     #[test]
     fn attribution_totals_sum_cores_and_emit_the_shared_schema() {

@@ -46,19 +46,22 @@ pub struct SimConfig {
     /// full). The paper computes control in order; `true` models the stall,
     /// `false` models an idealised fetch that never waits on control.
     pub fetch_stalls_on_unresolved_control: bool,
-    /// Whether the simulation materialises the per-instruction stage
-    /// table ([`crate::SimResult::timings`], the paper's Figure 10 rows).
+    /// Whether the simulation keeps the per-instruction stage table
+    /// ([`crate::SimResult::timings`], a [`crate::StageTable`] of the
+    /// paper's Figure 10 rows).
     ///
     /// With this off the run is **stats-only**: every aggregate in
     /// [`crate::SimStats`] — fetch/total cycles, IPCs, renaming counters,
     /// NoC statistics — is accumulated streaming during the simulation
     /// and comes out bit-identical to a recording run, but
-    /// `SimResult::timings` is empty and the per-row accessors
+    /// `SimResult::timings` is `None` and the per-row accessors
     /// ([`crate::SimResult::section_timings`],
     /// `RunReport::timings()` in the driver, `format_figure10`) return
     /// empty views. Stats-only runs also drop the resolver's three stage
-    /// columns, cutting the simulator's per-instruction resident state
-    /// from ~150 to ~17 bytes — the switch that lets 100M-instruction
+    /// columns and the table's copies of the arena columns, cutting the
+    /// simulator's resident state from ≈60 to ≈24 bytes per instruction
+    /// on the recorded 10.8M-instruction 1024-core `fan_chain` cell
+    /// (`BENCH_sim.json`) — the switch that lets 100M-instruction
     /// chip-scale cells fit. On by default.
     pub record_timings: bool,
     /// Whether the engines run the full static analysis of

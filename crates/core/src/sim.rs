@@ -68,9 +68,9 @@ use parsecs_obs::{CoreBreakdown, CycleAttribution, NoopProbe, SimProbe, StallCau
 use parsecs_trace::{SourceKind, TraceArena};
 
 use crate::chip::{ChipState, NO_SECTION, NO_STALL};
-use crate::drain::{Resolver, INCOMPLETE, UNKNOWN};
+use crate::drain::Resolver;
 use crate::sched::{walk, Scheduler, WalkCtx};
-use crate::{InstTiming, SectionId, SectionSpan, SimConfig, SimError, SimStats};
+use crate::{InstTiming, SectionId, SectionSpan, SimConfig, SimError, SimStats, StageTable};
 
 pub(crate) use crate::chip::StallTable;
 
@@ -79,15 +79,12 @@ pub(crate) use crate::chip::StallTable;
 pub struct SimResult {
     /// Values emitted by `out` instructions during the run.
     pub outputs: Vec<u64>,
-    /// Per-instruction stage timings, in sequential order. **Empty when
-    /// the run was stats-only** ([`SimConfig::record_timings`] off):
+    /// The per-instruction stage table, in sequential order. **`None`
+    /// when the run was stats-only** ([`SimConfig::record_timings`] off):
     /// aggregate statistics are then accumulated streaming during the
-    /// simulation and the stage table is never materialised.
-    pub timings: Vec<InstTiming>,
-    /// Whether [`SimResult::timings`] was recorded. `false` for
-    /// stats-only runs — which an empty `timings` alone cannot signal,
-    /// because an empty *program* also has no rows.
-    pub timings_recorded: bool,
+    /// simulation and the stage columns are never kept. An empty program
+    /// run in full mode has an empty table.
+    pub timings: Option<StageTable>,
     /// The sections of the run, in total order.
     pub sections: Vec<SectionSpan>,
     /// The core hosting each section (indexed by section id).
@@ -103,20 +100,11 @@ pub struct SimResult {
 }
 
 impl SimResult {
-    /// The timings of one section, in fetch order: the contiguous
-    /// `timings` rows of the section's span (timings are stored in
-    /// sequential order and sections tile that order, so this is an O(1)
-    /// subslice, not a scan). Empty when the run was stats-only or the
-    /// id names no section of this run (matching the old filter scan,
-    /// which also produced nothing for an unknown id).
-    pub fn section_timings(&self, id: SectionId) -> &[InstTiming] {
-        if !self.timings_recorded {
-            return &[];
-        }
-        match self.sections.get(id.0) {
-            Some(span) => &self.timings[span.start..span.end],
-            None => &[],
-        }
+    /// The rows of one section, in fetch order (see
+    /// [`StageTable::section`]). Empty when the run was stats-only or the
+    /// id names no section of this run.
+    pub fn section_timings(&self, id: SectionId) -> impl Iterator<Item = InstTiming> + '_ {
+        self.timings.iter().flat_map(move |table| table.section(id))
     }
 
     /// Modeled resident bytes of the simulator's own per-run state — the
@@ -124,23 +112,30 @@ impl SimResult {
     /// resume, fork map, placement) and the result views (stage table,
     /// section spans, outputs). The number that, added to
     /// [`SimStats::trace_arena_bytes`], caps how many instructions a
-    /// chip-scale run can hold resident; a stats-only run drops the stage
-    /// table and three resolver columns, cutting this from ~150 to ~17
-    /// bytes per instruction. Derived from logical sizes (transient
-    /// scratch like the wake queue and per-core state is excluded), so it
-    /// is deterministic across engines.
+    /// chip-scale run can hold resident. A full-mode run keeps the stage
+    /// table's columns (four stage columns taken from the resolver, plus
+    /// the arena columns its rows read); a stats-only run keeps none of
+    /// them: ≈60 against ≈24 bytes per instruction on the recorded
+    /// 10.8M-instruction 1024-core `fan_chain` cell (`BENCH_sim.json`).
+    /// Derived from logical sizes (transient scratch like the wake queue
+    /// and per-core state is excluded), so it is deterministic across
+    /// engines.
     pub fn sim_state_bytes(&self) -> u64 {
         use std::mem::size_of;
         let n = self.stats.instructions;
         let sections = self.sections.len() as u64;
-        // Tagged completion column + two wake-list links always; the
-        // fd/ew/ret stage columns only when timings are recorded.
-        let resolver = n * 16 + if self.timings_recorded { n * 24 } else { 0 };
+        // Two wake-list links always; the tagged completion column as
+        // resolver state in a stats-only run, or inside the stage table,
+        // which takes it by move.
+        let resolver = n * 8
+            + self
+                .timings
+                .as_ref()
+                .map_or(n * 8, StageTable::memory_bytes);
         // Retirement cursors (u32 + u64), stall resume point, one
         // fork→created-section map entry, placement.
         let per_section = sections * (12 + 8 + 24 + 8);
-        let views = self.timings.len() as u64 * size_of::<InstTiming>() as u64
-            + sections * size_of::<SectionSpan>() as u64
+        let views = sections * size_of::<SectionSpan>() as u64
             + self.core_of.len() as u64 * size_of::<CoreId>() as u64
             + self.outputs.len() as u64 * 8;
         resolver + per_section + views
@@ -564,21 +559,22 @@ impl ManyCoreSim {
     /// Assembles the [`SimResult`] from a finished resolver. The
     /// aggregate cycle counts come from the resolver's streaming
     /// accumulators — identical in both stats modes (and zero for an
-    /// empty program) — so only the per-row stage table depends on
-    /// [`SimConfig::record_timings`].
+    /// empty program) — so only the stage table depends on
+    /// [`SimConfig::record_timings`]; it takes the resolver's stage
+    /// columns by move ([`StageTable`]).
     ///
     /// # Errors
     ///
     /// Returns [`SimError::Diverged`] when an instruction comes out of
     /// the resolver with sentinel cycles — the stall/wake model broke
     /// down, and sentinels must never leak into reported timings (a hard
-    /// check, release builds included; the one-branch-per-instruction
-    /// cost is negligible next to building the row).
+    /// check, release builds included: one pass over the four moved
+    /// columns).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn finish(
         &self,
         arena: &TraceArena,
-        resolver: Resolver<'_>,
+        mut resolver: Resolver<'_>,
         core_of: Vec<CoreId>,
         sections_hosted: &[usize],
         noc: NocStats,
@@ -586,45 +582,23 @@ impl ManyCoreSim {
         check: Option<Box<CheckReport>>,
         attribution: Vec<CoreBreakdown>,
     ) -> Result<SimResult, SimError> {
-        let timings: Vec<InstTiming> = if self.config.record_timings {
-            (0..arena.len())
-                .map(|seq| {
-                    let section = arena.section(seq);
-                    let fd = resolver.fd[seq];
-                    let ew = resolver.ew[seq];
-                    let complete = resolver.complete[seq];
-                    let ret = resolver.ret[seq];
-                    if fd == UNKNOWN || ew == UNKNOWN || ret == UNKNOWN || complete >= INCOMPLETE {
-                        return Err(SimError::Diverged {
-                            reason: "left an instruction unresolved",
-                            cycle: resolver.max_ret,
-                            resolved: resolver.resolved as u64,
-                            instructions: arena.len() as u64,
-                        });
-                    }
-                    // `rr`/`ar`/`ma` are derived, not stored: renaming is
-                    // the cycle after fetch, address-rename the cycle
-                    // after execute, and the memory access completes the
-                    // value.
-                    let is_mem = arena.is_load(seq) || arena.is_store(seq);
-                    Ok(InstTiming {
-                        seq,
-                        index_in_section: arena.index_in_section(seq),
-                        ip: arena.ip(seq),
-                        mnemonic: arena.mnemonic(seq),
-                        section,
-                        core: core_of[section.0],
-                        fd,
-                        rr: fd + 1,
-                        ew,
-                        ar: is_mem.then(|| ew + 1),
-                        ma: is_mem.then_some(complete),
-                        ret,
-                    })
-                })
-                .collect::<Result<_, _>>()?
+        let timings = if self.config.record_timings {
+            let columns = [
+                std::mem::take(&mut resolver.fd),
+                std::mem::take(&mut resolver.ew),
+                std::mem::take(&mut resolver.ret),
+                std::mem::take(&mut resolver.complete),
+            ];
+            let table =
+                StageTable::from_resolved(arena, columns, &core_of).ok_or(SimError::Diverged {
+                    reason: "left an instruction unresolved",
+                    cycle: resolver.max_ret,
+                    resolved: resolver.resolved as u64,
+                    instructions: arena.len() as u64,
+                })?;
+            Some(table)
         } else {
-            Vec::new()
+            None
         };
 
         let instructions = arena.len() as u64;
@@ -713,7 +687,6 @@ impl ManyCoreSim {
         Ok(SimResult {
             outputs: arena.outputs().to_vec(),
             timings,
-            timings_recorded: self.config.record_timings,
             sections: arena.sections().to_vec(),
             core_of,
             stats,
@@ -798,6 +771,14 @@ mod tests {
         ManyCoreSim::new(config).run(&program).expect("simulates")
     }
 
+    /// The stage table of a full-mode run.
+    fn table(result: &SimResult) -> &StageTable {
+        result
+            .timings
+            .as_ref()
+            .expect("a full-mode run records its table")
+    }
+
     /// Simulates `program` on both engines over one streaming arena:
     /// `(event-driven, reference)`.
     fn both_engines(sim: &ManyCoreSim, program: &Program) -> (SimResult, SimResult) {
@@ -830,7 +811,7 @@ mod tests {
         );
         assert!(result.stats.fetch_ipc > 1.0);
         // The first instruction is fetched at cycle 1 on the root core.
-        assert_eq!(result.timings[0].fd, 1);
+        assert_eq!(table(&result).get(0).map(|t| t.fd), Some(1));
     }
 
     #[test]
@@ -892,7 +873,7 @@ mod tests {
     #[test]
     fn stage_cycles_are_monotone_within_an_instruction() {
         let result = sim_sum(&[3, 1, 4, 1, 5, 9, 2, 6, 5, 3], SimConfig::with_cores(16));
-        for t in &result.timings {
+        for t in table(&result).iter() {
             assert!(t.rr > t.fd, "{}: rr after fd", t.name());
             assert!(t.ew >= t.fd, "{}: ew at or after fd", t.name());
             if let (Some(a), Some(m)) = (t.ar, t.ma) {
@@ -907,18 +888,17 @@ mod tests {
     fn fetch_is_one_instruction_per_core_per_cycle() {
         let result = sim_sum(&[4, 2, 6, 4, 5], SimConfig::with_cores(8));
         let mut per_core_cycle: HashMap<(CoreId, u64), u64> = HashMap::new();
-        for t in &result.timings {
+        for t in table(&result).iter() {
             *per_core_cycle.entry((t.core, t.fd)).or_insert(0) += 1;
         }
         assert!(per_core_cycle.values().all(|c| *c == 1));
     }
 
-    /// Regression for the old O(total instructions) filter scan:
     /// `section_timings` must hand back the section's contiguous span of
     /// the sequential table, covering every row exactly once even on a
     /// many-section trace.
     #[test]
-    fn section_timings_slices_the_contiguous_span() {
+    fn section_timings_cover_the_contiguous_span() {
         let data: Vec<u64> = (1..=40).collect();
         let result = sim_sum(&data, SimConfig::with_cores(16));
         assert!(
@@ -928,21 +908,23 @@ mod tests {
         );
         let mut covered = 0usize;
         for span in &result.sections {
-            let timings = result.section_timings(span.id);
+            let timings: Vec<InstTiming> = result.section_timings(span.id).collect();
             assert_eq!(timings.len(), span.len(), "{}", span.id);
             assert!(timings.iter().all(|t| t.section == span.id));
             assert_eq!(timings.first().map(|t| t.seq), Some(span.start));
             covered += timings.len();
         }
-        assert_eq!(covered, result.timings.len());
-        // A stats-only run has no rows to slice — empty view, no panic.
+        assert_eq!(covered, table(&result).len());
+        // A stats-only run has no rows — an empty view, no panic.
         let stats = sim_sum(&data, SimConfig::with_cores(16).stats_only());
-        assert!(stats.section_timings(SectionId(0)).is_empty());
-        // An id past the run's sections yields an empty view (the old
-        // filter scan's behaviour), not a panic.
-        assert!(result
-            .section_timings(SectionId(result.sections.len()))
-            .is_empty());
+        assert_eq!(stats.section_timings(SectionId(0)).count(), 0);
+        // An id past the run's sections yields an empty view, not a panic.
+        assert_eq!(
+            result
+                .section_timings(SectionId(result.sections.len()))
+                .count(),
+            0
+        );
     }
 
     /// The tentpole contract of stats-only mode: every aggregate in
@@ -965,8 +947,8 @@ mod tests {
             assert_eq!(stats.outputs, full.outputs);
             assert_eq!(stats.sections, full.sections);
             assert_eq!(stats.core_of, full.core_of);
-            assert!(stats.timings.is_empty() && !stats.timings_recorded);
-            assert!(full.timings_recorded);
+            assert!(stats.timings.is_none());
+            assert_eq!(table(&full).len() as u64, full.stats.instructions);
             assert!(stats.sim_state_bytes() < full.sim_state_bytes());
         }
     }
@@ -1002,16 +984,75 @@ mod tests {
         assert_eq!(full.stats.fetch_ipc, 0.0);
         assert_eq!(full.stats.retire_ipc, 0.0);
         assert_eq!(full.stats.forced_stall_releases, 0);
-        assert!(full.timings.is_empty() && full.timings_recorded);
+        assert!(table(&full).is_empty());
+        assert!(stats.timings.is_none());
         assert!(full.outputs.is_empty());
         assert_eq!(full.total_bytes_per_instruction(), 0.0);
+    }
+
+    /// The hard check on the stage columns the table takes by move: an
+    /// entry still holding a sentinel — never computed (`UNKNOWN`) or
+    /// fetched but unresolved (`INCOMPLETE | fd`) — fails the run as
+    /// `Diverged` instead of reaching a row.
+    #[test]
+    fn unresolved_stage_columns_fail_the_run() {
+        use crate::drain::{INCOMPLETE, UNKNOWN};
+        let program = sum_fork_program(&[4, 2, 6, 4, 5]);
+        let mut config = SimConfig::with_cores(4);
+        config.validate = false;
+        let sim = ManyCoreSim::new(config);
+        let arena = TraceArena::from_program(&program, sim.config().fuel).expect("halts");
+        let n = arena.len();
+        let finish = |corrupt: Option<(usize, usize, u64)>| {
+            let mut resolver = Resolver::new(sim.config(), &arena, n);
+            let mut columns = [
+                &mut resolver.fd,
+                &mut resolver.ew,
+                &mut resolver.ret,
+                &mut resolver.complete,
+            ];
+            for column in columns.iter_mut() {
+                column.fill(1);
+            }
+            if let Some((column, seq, sentinel)) = corrupt {
+                columns[column][seq] = sentinel;
+            }
+            let Prepared {
+                core_of, network, ..
+            } = sim.prepare(&arena).expect("prepares");
+            sim.finish(
+                &arena,
+                resolver,
+                core_of,
+                &[],
+                network.stats(),
+                0,
+                None,
+                CycleAttribution::new(4).finish(0),
+            )
+        };
+        assert!(finish(None).is_ok());
+        for column in 0..4 {
+            for seq in [0, n - 1] {
+                for sentinel in [UNKNOWN, INCOMPLETE | 5] {
+                    match finish(Some((column, seq, sentinel))) {
+                        Err(SimError::Diverged { reason, .. }) => {
+                            assert_eq!(reason, "left an instruction unresolved");
+                        }
+                        other => {
+                            panic!("column {column} seq {seq}: expected Diverged, got {other:?}")
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
     fn retirement_is_in_order_within_a_section() {
         let result = sim_sum(&[1, 2, 3, 4, 5, 6, 7, 8, 9, 10], SimConfig::with_cores(16));
         for span in &result.sections {
-            let timings = result.section_timings(span.id);
+            let timings: Vec<InstTiming> = result.section_timings(span.id).collect();
             for pair in timings.windows(2) {
                 assert!(
                     pair[1].ret > pair[0].ret,
@@ -1118,11 +1159,11 @@ mod tests {
     #[test]
     fn figure10_table_lists_every_instruction_grouped_by_core() {
         let result = sim_sum(&[4, 2, 6, 4, 5], SimConfig::with_cores(8));
-        let table = format_figure10(&result);
-        assert!(table.contains("core0 pipeline"));
-        assert!(table.contains("fork"));
-        assert!(table.contains("endfork"));
-        let instruction_rows = table
+        let figure = format_figure10(&result);
+        assert!(figure.contains("core0 pipeline"));
+        assert!(figure.contains("fork"));
+        assert!(figure.contains("endfork"));
+        let instruction_rows = figure
             .lines()
             .filter(|l| {
                 l.trim_start()
@@ -1131,7 +1172,7 @@ mod tests {
                     .is_some_and(|c| c.is_ascii_digit())
             })
             .count();
-        assert_eq!(instruction_rows, result.timings.len());
+        assert_eq!(instruction_rows, table(&result).len());
     }
 
     #[test]

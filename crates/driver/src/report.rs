@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use parsecs_core::{CheckReport, CoreBreakdown, InstTiming, Progress, ScheduleBounds, SimResult};
+use parsecs_core::{CheckReport, CoreBreakdown, Progress, ScheduleBounds, SimResult, StageTable};
 use parsecs_ilp::IlpResult;
 use parsecs_machine::Trace;
 
@@ -16,8 +16,8 @@ pub enum ReportDetail {
     /// The full per-instruction timing of the many-core simulator
     /// (boxed: a `SimResult` carries the whole stage table and would
     /// otherwise dominate the size of every report). For a **stats-only**
-    /// run (`SimConfig::record_timings` off) the stage table inside is
-    /// empty — aggregate statistics are exact, but the per-row accessors
+    /// run (`SimConfig::record_timings` off) there is no stage table —
+    /// aggregate statistics are exact, but the per-row accessors
     /// ([`RunReport::timings`], `SimResult::section_timings`) return
     /// `None`/empty views.
     Sim(Box<SimResult>),
@@ -89,11 +89,12 @@ impl RunReport {
     /// model **and** the run recorded one. `None` both for the other
     /// backends and for stats-only simulations
     /// (`SimConfig::record_timings` off), whose aggregate statistics are
-    /// exact but whose stage rows were never materialised.
-    pub fn timings(&self) -> Option<&[InstTiming]> {
-        self.sim()
-            .filter(|r| r.timings_recorded)
-            .map(|r| r.timings.as_slice())
+    /// exact but whose stage columns were never kept. The table builds
+    /// each [`parsecs_core::InstTiming`] row on demand
+    /// ([`StageTable::iter`], [`StageTable::get`],
+    /// [`StageTable::section`]).
+    pub fn timings(&self) -> Option<&StageTable> {
+        self.sim().and_then(|r| r.timings.as_ref())
     }
 
     /// Modeled resident bytes of the simulator's own per-run state
